@@ -259,10 +259,15 @@ mod tests {
 
     #[test]
     fn sanitizer_defaults_on_under_debug_assertions() {
-        // Tests build with debug_assertions, so every constructor enables
-        // the sanitizer without needing SC_SANITIZE.
-        assert!(SparseCoreConfig::paper().sanitize);
-        assert!(SparseCoreConfig::tiny().sanitize);
-        assert!(SparseCoreConfig::paper_one_su().sanitize);
+        // Every constructor takes the profile default; under
+        // debug_assertions that default is on without SC_SANITIZE.
+        for c in
+            [SparseCoreConfig::paper(), SparseCoreConfig::tiny(), SparseCoreConfig::paper_one_su()]
+        {
+            assert_eq!(c.sanitize, default_sanitize());
+        }
+        if cfg!(debug_assertions) {
+            assert!(default_sanitize());
+        }
     }
 }

@@ -2071,7 +2071,8 @@ mod extension_tests {
         // disagreeing. A stream defined+freed only on the squashed path
         // must not report SC-S303 when the (architecturally
         // never-defined) id is used afterwards.
-        let mut e = Engine::new(SparseCoreConfig::tiny());
+        let sanitized_tiny = || SparseCoreConfig { sanitize: true, ..SparseCoreConfig::tiny() };
+        let mut e = Engine::new(sanitized_tiny());
         e.s_read(0x10_0000, &[1, 2], sid(0), Priority(0)).unwrap();
         let cp = e.checkpoint();
         e.s_read(0x20_0000, &[2, 3], sid(1), Priority(0)).unwrap();
@@ -2084,7 +2085,7 @@ mod extension_tests {
         // The converse: a stream freed before the checkpoint and
         // redefined only on the squashed path is still freed after the
         // rollback, so re-freeing it must report the SC-S301 hazard.
-        let mut e = Engine::new(SparseCoreConfig::tiny());
+        let mut e = Engine::new(sanitized_tiny());
         e.s_read(0x10_0000, &[1, 2], sid(0), Priority(0)).unwrap();
         e.s_free(sid(0)).unwrap();
         let cp = e.checkpoint();

@@ -1,8 +1,9 @@
 //! The cost abstract interpretation.
 //!
-//! One forward pass over a straight-line stream program tracks, per
-//! stream ID, a half-open *length interval* (reusing
-//! [`sc_verify::Interval`]), and accumulates a symbolic cost value in
+//! A projection of the one stream-lifetime walk
+//! ([`sc_isa::dataflow::analyze`]): the walk supplies each
+//! instruction's operand *length intervals* and the live counts, and
+//! this module prices every instruction into a symbolic cost value in
 //! the [`CostInterval`] semilattice: a sound `[lower, upper]` cycle
 //! range where the upper bound may be `None` (⊤, statically
 //! unanalyzable — nested intersection or an unbounded operand).
@@ -41,10 +42,10 @@
 //! monotonicity property the test suite checks.
 
 use crate::params::CostParams;
+use sc_isa::dataflow::len_top;
+use sc_isa::domain::Interval;
 use sc_isa::{Instr, Key, Program};
-use sc_verify::{Interval, VerifyConfig};
 use sparsecore::SparseCoreConfig;
-use std::collections::BTreeMap;
 
 /// A cost value: sound inclusive cycle (or byte) bounds. `upper ==
 /// None` is ⊤ — no finite static bound exists.
@@ -160,8 +161,6 @@ pub struct CostReport {
     pub traffic_bytes: CostInterval,
     /// Per-region bounds.
     pub regions: Vec<RegionCost>,
-    /// Final per-stream length intervals (streams still live at exit).
-    pub lengths: BTreeMap<u32, Interval>,
     /// Hull of every stream length the engine would record in its
     /// length histogram (reads, materialized set-op outputs, merge
     /// outputs, nested lists). Widened to the full length domain when
@@ -171,20 +170,12 @@ pub struct CostReport {
     pub max_pressure: usize,
     /// `max_pressure * slot_bytes` — the static S-Cache footprint.
     pub footprint_bytes: u64,
-    /// Scratchpad working-set peak (bytes), from sc-verify.
+    /// Scratchpad working-set peak (bytes).
     pub scratch_peak: u64,
     /// Per-instruction upper-bound charges (⊤-aware), for proofs.
     pub instr_upper: Vec<Option<u64>>,
     /// The derived parameters the bounds were computed with.
     pub params: CostParams,
-}
-
-/// The length domain's ⊤: any representable stream length. Half-open,
-/// so the exclusive end is `Key::MAX + 1` — a stream of `u32::MAX`
-/// keys is still inside ⊤ (the off-by-one sc-verify's fallback used to
-/// get wrong).
-pub fn len_top() -> Interval {
-    Interval::new(0, u64::from(Key::MAX) + 1)
 }
 
 fn is_unbounded_len(iv: &Interval) -> bool {
@@ -221,13 +212,7 @@ pub fn analyze_cost_with(
 ) -> CostReport {
     let p = CostParams::for_config(config);
     let w = p.issue_width;
-    let verify = sc_verify::analyze(program, &VerifyConfig::for_config(config));
-
-    let mut lengths: BTreeMap<u32, Interval> = BTreeMap::new();
-    let mut hull = Interval::empty();
-    let len_of = |lengths: &BTreeMap<u32, Interval>, sid: sc_isa::StreamId| -> Interval {
-        lengths.get(&sid.raw()).copied().unwrap_or_else(len_top)
-    };
+    let flow = sc_isa::dataflow::analyze(program);
 
     // Comparator upper bound: the SU consumes at least one element per
     // cycle until one side (or the bound) cuts; +2 covers the tail
@@ -248,70 +233,48 @@ pub fn analyze_cost_with(
     let mut instr_upper: Vec<Option<u64>> = Vec::with_capacity(program.len());
     let mut costs: Vec<InstrCost> = Vec::with_capacity(program.len());
 
-    for instr in program.iter() {
-        // Shared shape of the four key set-ops; `out` is None for the
-        // count-only (.C) forms, which materialize nothing.
-        let set_op = |lengths: &mut BTreeMap<u32, Interval>,
-                      hull: &mut Interval,
-                      la: Interval,
-                      lb: Interval,
-                      busy_lo: u64,
-                      consumed_ub: u64,
-                      out: Option<(sc_isa::StreamId, Interval)>,
-                      traffic_up: u64|
-         -> InstrCost {
+    for (instr, step) in program.iter().zip(&flow.steps) {
+        // Operand lengths in `uses_streams` order: `la`, `lb` for the
+        // two-input instructions, the single input otherwise.
+        let la = step.operands.first().copied().unwrap_or_else(len_top);
+        let lb = step.operands.get(1).copied().unwrap_or_else(len_top);
+        // Shared shape of the key set-ops; `out_bytes` is the
+        // materialized output's traffic (0 for the count-only forms).
+        let set_op = |busy_lo: u64, out_bytes: u64| -> InstrCost {
             let unbnd = is_unbounded_len(&la) || is_unbounded_len(&lb);
-            let busy_ub = mutate_compare(compare_ub(&la, &lb)).max(supply_ub(consumed_ub));
-            if let Some((sid, iv)) = out {
-                *hull = hull.hull(&iv);
-                lengths.insert(sid.raw(), iv);
-            }
+            let busy_ub = mutate_compare(compare_ub(&la, &lb)).max(supply_ub(ub(&la) + ub(&lb)));
             InstrCost {
                 uops: 4,
                 extra_upper: if unbnd { None } else { Some(bubble + busy_ub) },
                 busy_lo,
                 traffic_lo: 0,
-                traffic_up: if unbnd { None } else { Some(traffic_up) },
+                traffic_up: if unbnd { None } else { Some(out_bytes) },
             }
         };
+        let read = |len: u32, uops: u64| {
+            let bytes = u64::from(len) * 4;
+            InstrCost {
+                uops,
+                extra_upper: Some(0),
+                busy_lo: 0,
+                traffic_lo: bytes.min(p.keys_per_line * p.prefetch_depth * 4),
+                traffic_up: Some(bytes.next_multiple_of(line_bytes.max(1))),
+            }
+        };
+        // Intersection and subtraction lower bounds: an early-termination
+        // bound may cut the walk to nothing.
+        let cut_busy_lo = |bound: sc_isa::Bound, m: u64| {
+            let m = if bound.get().is_some() { 0 } else { m };
+            m.div_ceil(p.su_width).max(supply_lo(m))
+        };
+        let merge_busy_lo = || {
+            let consumed_lo = la.lo + lb.lo;
+            consumed_lo.div_ceil(2 * p.su_width).max(supply_lo(consumed_lo))
+        };
         let c = match *instr {
-            Instr::SRead { len, sid, .. } => {
-                let iv = Interval::exact(u64::from(len));
-                hull = hull.hull(&iv);
-                lengths.insert(sid.raw(), iv);
-                let bytes = u64::from(len) * 4;
-                InstrCost {
-                    uops: 5,
-                    extra_upper: Some(0),
-                    busy_lo: 0,
-                    traffic_lo: bytes.min(p.keys_per_line * p.prefetch_depth * 4),
-                    traffic_up: Some(bytes.next_multiple_of(line_bytes.max(1))),
-                }
-            }
-            Instr::SVRead { len, sid, .. } => {
-                let iv = Interval::exact(u64::from(len));
-                hull = hull.hull(&iv);
-                lengths.insert(sid.raw(), iv);
-                let bytes = u64::from(len) * 4;
-                InstrCost {
-                    uops: 6,
-                    extra_upper: Some(0),
-                    busy_lo: 0,
-                    traffic_lo: bytes.min(p.keys_per_line * p.prefetch_depth * 4),
-                    traffic_up: Some(bytes.next_multiple_of(line_bytes.max(1))),
-                }
-            }
-            Instr::SFree { sid } => {
-                lengths.remove(&sid.raw());
-                InstrCost {
-                    uops: 1,
-                    extra_upper: Some(0),
-                    busy_lo: 0,
-                    traffic_lo: 0,
-                    traffic_up: Some(0),
-                }
-            }
-            Instr::SLdGfr { .. } => InstrCost {
+            Instr::SRead { len, .. } => read(len, 5),
+            Instr::SVRead { len, .. } => read(len, 6),
+            Instr::SFree { .. } | Instr::SLdGfr { .. } => InstrCost {
                 uops: 1,
                 extra_upper: Some(0),
                 busy_lo: 0,
@@ -327,77 +290,15 @@ pub fn analyze_cost_with(
                 traffic_lo: 0,
                 traffic_up: Some(line_bytes),
             },
-            Instr::SInter { a, b, out, bound } => {
-                let (la, lb) = (len_of(&lengths, a), len_of(&lengths, b));
-                let m = if bound.get().is_some() { 0 } else { la.lo.min(lb.lo) };
-                let busy_lo = m.div_ceil(p.su_width).max(supply_lo(m));
-                let out_iv = Interval::new(0, la.hi.min(lb.hi).max(1));
-                let tr = ub(&la).min(ub(&lb)) * 4;
-                set_op(
-                    &mut lengths,
-                    &mut hull,
-                    la,
-                    lb,
-                    busy_lo,
-                    ub(&la) + ub(&lb),
-                    Some((out, out_iv)),
-                    tr,
-                )
+            Instr::SInter { bound, .. } => {
+                set_op(cut_busy_lo(bound, la.lo.min(lb.lo)), ub(&la).min(ub(&lb)) * 4)
             }
-            Instr::SInterC { a, b, bound } => {
-                let (la, lb) = (len_of(&lengths, a), len_of(&lengths, b));
-                let m = if bound.get().is_some() { 0 } else { la.lo.min(lb.lo) };
-                let busy_lo = m.div_ceil(p.su_width).max(supply_lo(m));
-                set_op(&mut lengths, &mut hull, la, lb, busy_lo, ub(&la) + ub(&lb), None, 0)
-            }
-            Instr::SSub { a, b, out, bound } => {
-                let (la, lb) = (len_of(&lengths, a), len_of(&lengths, b));
-                let m = if bound.get().is_some() { 0 } else { la.lo };
-                let busy_lo = m.div_ceil(p.su_width).max(supply_lo(m));
-                let out_iv = Interval::new(0, la.hi.max(1));
-                let tr = ub(&la) * 4;
-                set_op(
-                    &mut lengths,
-                    &mut hull,
-                    la,
-                    lb,
-                    busy_lo,
-                    ub(&la) + ub(&lb),
-                    Some((out, out_iv)),
-                    tr,
-                )
-            }
-            Instr::SSubC { a, b, bound } => {
-                let (la, lb) = (len_of(&lengths, a), len_of(&lengths, b));
-                let m = if bound.get().is_some() { 0 } else { la.lo };
-                let busy_lo = m.div_ceil(p.su_width).max(supply_lo(m));
-                set_op(&mut lengths, &mut hull, la, lb, busy_lo, ub(&la) + ub(&lb), None, 0)
-            }
-            Instr::SMerge { a, b, out } => {
-                let (la, lb) = (len_of(&lengths, a), len_of(&lengths, b));
-                let consumed_lo = la.lo + lb.lo;
-                let busy_lo = consumed_lo.div_ceil(2 * p.su_width).max(supply_lo(consumed_lo));
-                let out_iv = Interval::new(la.lo.max(lb.lo), la.add(&lb).hi.max(1));
-                let tr = (ub(&la) + ub(&lb)) * 4;
-                set_op(
-                    &mut lengths,
-                    &mut hull,
-                    la,
-                    lb,
-                    busy_lo,
-                    ub(&la) + ub(&lb),
-                    Some((out, out_iv)),
-                    tr,
-                )
-            }
-            Instr::SMergeC { a, b } => {
-                let (la, lb) = (len_of(&lengths, a), len_of(&lengths, b));
-                let consumed_lo = la.lo + lb.lo;
-                let busy_lo = consumed_lo.div_ceil(2 * p.su_width).max(supply_lo(consumed_lo));
-                set_op(&mut lengths, &mut hull, la, lb, busy_lo, ub(&la) + ub(&lb), None, 0)
-            }
-            Instr::SVInter { a, b, .. } => {
-                let (la, lb) = (len_of(&lengths, a), len_of(&lengths, b));
+            Instr::SInterC { bound, .. } => set_op(cut_busy_lo(bound, la.lo.min(lb.lo)), 0),
+            Instr::SSub { bound, .. } => set_op(cut_busy_lo(bound, la.lo), ub(&la) * 4),
+            Instr::SSubC { bound, .. } => set_op(cut_busy_lo(bound, la.lo), 0),
+            Instr::SMerge { .. } => set_op(merge_busy_lo(), (ub(&la) + ub(&lb)) * 4),
+            Instr::SMergeC { .. } => set_op(merge_busy_lo(), 0),
+            Instr::SVInter { .. } => {
                 let unbnd = is_unbounded_len(&la) || is_unbounded_len(&lb);
                 let matches_ub = ub(&la).min(ub(&lb));
                 // Dense-seek consumes the dense side at the engine's
@@ -416,8 +317,7 @@ pub fn analyze_cost_with(
                     traffic_up: if unbnd { None } else { Some(16 * matches_ub) },
                 }
             }
-            Instr::SVMerge { a, b, out, .. } => {
-                let (la, lb) = (len_of(&lengths, a), len_of(&lengths, b));
+            Instr::SVMerge { .. } => {
                 let unbnd = is_unbounded_len(&la) || is_unbounded_len(&lb);
                 let consumed = ub(&la) + ub(&lb);
                 let value_ub = consumed.max((consumed * p.load_full).div_ceil(p.load_queue));
@@ -425,35 +325,25 @@ pub fn analyze_cost_with(
                     mutate_compare(compare_ub(&la, &lb)).max(supply_ub(consumed)).max(value_ub);
                 let produced_lo = la.lo.max(lb.lo);
                 let consumed_lo = la.lo + lb.lo;
-                let out_iv = Interval::new(produced_lo, la.add(&lb).hi.max(1));
-                hull = hull.hull(&out_iv);
-                lengths.insert(out.raw(), out_iv);
                 InstrCost {
                     uops: 1,
                     extra_upper: if unbnd { None } else { Some(bubble + busy_ub) },
-                    busy_lo: consumed_lo
-                        .div_ceil(2 * p.su_width)
-                        .max(supply_lo(consumed_lo))
-                        .max(produced_lo),
+                    busy_lo: merge_busy_lo().max(produced_lo),
                     // Value loads for every element plus the packed
                     // (key, value) writeback.
                     traffic_lo: 8 * consumed_lo,
                     traffic_up: if unbnd { None } else { Some(8 * consumed + 12 * consumed) },
                 }
             }
-            Instr::SNestInter { sid } => {
-                let ls = len_of(&lengths, sid);
-                // Nested list lengths are data-dependent: no finite
-                // upper bound, and the length histogram is widened.
-                hull = len_top();
-                InstrCost {
-                    uops: 1 + 3 * ls.lo,
-                    extra_upper: None,
-                    busy_lo: 0,
-                    traffic_lo: 0,
-                    traffic_up: None,
-                }
-            }
+            // Nested list lengths are data-dependent: no finite upper
+            // bound (and the length hull below is widened).
+            Instr::SNestInter { .. } => InstrCost {
+                uops: 1 + 3 * la.lo,
+                extra_upper: None,
+                busy_lo: 0,
+                traffic_lo: 0,
+                traffic_up: None,
+            },
         };
         instr_upper.push(c.extra_upper.map(|e| e + c.uops.div_ceil(w)));
         costs.push(c);
@@ -497,11 +387,11 @@ pub fn analyze_cost_with(
     // closing free).
     let mut regions = Vec::new();
     let mut start: Option<usize> = None;
-    for i in 0..verify.pressure.len() {
-        if verify.pressure[i] > 0 && start.is_none() {
+    for i in 0..flow.live_at.len() {
+        if flow.live_at[i] > 0 && start.is_none() {
             start = Some(i);
         }
-        if verify.pressure[i] == 0 {
+        if flow.live_at[i] == 0 {
             if let Some(s) = start.take() {
                 let (cy, tr) = fold(s..i + 1);
                 regions.push(RegionCost {
@@ -509,32 +399,39 @@ pub fn analyze_cost_with(
                     last: i,
                     cycles: cy,
                     traffic_bytes: tr,
-                    peak_pressure: verify.pressure[s..=i].iter().copied().max().unwrap_or(0),
+                    peak_pressure: flow.live_at[s..=i].iter().copied().max().unwrap_or(0),
                 });
             }
         }
     }
     if let Some(s) = start {
-        let last = verify.pressure.len() - 1;
+        let last = flow.live_at.len() - 1;
         let (cy, tr) = fold(s..last + 1);
         regions.push(RegionCost {
             first: s,
             last,
             cycles: cy,
             traffic_bytes: tr,
-            peak_pressure: verify.pressure[s..=last].iter().copied().max().unwrap_or(0),
+            peak_pressure: flow.live_at[s..=last].iter().copied().max().unwrap_or(0),
         });
     }
+
+    // Hull of every stream length the engine records in its length
+    // histogram; a nested intersection makes lengths data-dependent.
+    let length_hull = if program.iter().any(|i| matches!(i, Instr::SNestInter { .. })) {
+        len_top()
+    } else {
+        flow.steps.iter().filter_map(|s| s.defined_len).fold(Interval::empty(), |h, l| h.hull(&l))
+    };
 
     CostReport {
         cycles,
         traffic_bytes,
         regions,
-        lengths: lengths.clone(),
-        length_hull: hull,
-        max_pressure: verify.max_pressure,
-        footprint_bytes: verify.max_pressure as u64 * p.slot_bytes,
-        scratch_peak: verify.scratch_peak,
+        length_hull,
+        max_pressure: flow.max_live(),
+        footprint_bytes: flow.max_live() as u64 * p.slot_bytes,
+        scratch_peak: flow.scratch_peak,
         instr_upper,
         params: p,
     }

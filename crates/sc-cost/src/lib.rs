@@ -1,12 +1,13 @@
 //! # sc-cost — static cycle-cost and resource bounds for stream programs
 //!
-//! `sc-verify` (PR 6) proves stream programs *correct* before they run;
-//! this crate proves them *predictable*: an abstract interpretation over
-//! the same interval domains derives sound `[lower, upper]` cycle
-//! bounds, per-region bounds, stream-length intervals, S-Cache
-//! footprint bounds, and memory-traffic bounds — all parameterized by a
-//! [`SparseCoreConfig`], so the same program yields different bounds
-//! per config digest.
+//! `sc-verify` proves stream programs *correct* before they run; this
+//! crate proves them *predictable*. It is the third projection of the
+//! one stream-lifetime walk ([`sc_isa::dataflow::analyze`]): from the
+//! walk's operand length intervals and live counts it derives sound
+//! `[lower, upper]` cycle bounds, per-region bounds, the stream-length
+//! hull, S-Cache footprint bounds, and memory-traffic bounds — all
+//! parameterized by a [`SparseCoreConfig`], so the same program yields
+//! different bounds per config digest.
 //!
 //! The correctness stack becomes a correctness **+ cost** stack:
 //!
@@ -25,7 +26,8 @@
 //! diagnostic/report/SARIF plumbing:
 //!
 //! * `SC-W204` *short-stream* — a stream's static length cannot
-//!   amortize one refill line of setup.
+//!   amortize one refill line of setup (sc-lint's own check,
+//!   [`sc_lint::short_streams`], with [`CostParams::perf_thresholds`]).
 //! * `SC-W205` *footprint-exceeded* — peak live streams × slot bytes
 //!   exceed the configured S-Cache capacity.
 //! * `SC-W206` *bound-gap* — the `upper / lower` divergence exceeds the
@@ -38,10 +40,11 @@ pub mod params;
 pub mod sidecar;
 
 pub use analyze::{
-    analyze_cost, analyze_cost_with, len_top, CostInterval, CostMutation, CostReport, RegionCost,
+    analyze_cost, analyze_cost_with, CostInterval, CostMutation, CostReport, RegionCost,
 };
 pub use gate::{check_program, synthesize_image, GateOutcome};
 pub use params::CostParams;
+pub use sc_isa::dataflow::len_top;
 pub use sidecar::{render_sidecar, SIDECAR_SCHEMA};
 
 use sc_isa::{Instr, Program};
@@ -101,31 +104,9 @@ pub fn cost_program(program: &Program, config: &SparseCoreConfig) -> CostVerdict
     let p = &cost.params;
     let mut diags: Vec<Diagnostic> = Vec::new();
 
-    // SC-W204: statically short streams. The threshold is derived from
-    // the refill line (l2.line_bytes / key_bytes), the same value
-    // sc-lint's perf pass is parameterized with.
-    let min_len = p.min_amortized_len();
-    for (i, instr) in program.iter().enumerate() {
-        let (len, sid) = match *instr {
-            Instr::SRead { len, sid, .. } => (len, sid),
-            Instr::SVRead { len, sid, .. } => (len, sid),
-            _ => continue,
-        };
-        if u64::from(len) < min_len && len > 0 {
-            diags.push(Diagnostic {
-                code: LintCode::ShortStream,
-                severity: Severity::Warning,
-                at: Some(i),
-                sid: Some(sid),
-                addr: None,
-                message: format!(
-                    "stream of {len} keys cannot amortize its setup: one refill line \
-                     supplies {min_len} keys for up to {} setup cycles",
-                    p.setup_cycles()
-                ),
-            });
-        }
-    }
+    // SC-W204: statically short streams, through sc-lint's own check
+    // with thresholds derived from the same hardware fields.
+    sc_lint::short_streams(program, &p.perf_thresholds(), &mut diags);
 
     // SC-W205: static S-Cache footprint.
     if cost.footprint_bytes > p.scache_bytes {

@@ -123,6 +123,15 @@ impl CostParams {
         self.warmup_max
     }
 
+    /// The short-stream (SC-W204) thresholds sc-lint's check fires
+    /// against, from this parameter set.
+    pub fn perf_thresholds(&self) -> sc_lint::PerfThresholds {
+        sc_lint::PerfThresholds {
+            min_amortized_len: self.min_amortized_len() as u32,
+            setup_cycles: self.setup_cycles(),
+        }
+    }
+
     /// Largest acceptable `upper / lower` cycle-bound divergence before
     /// the program is flagged as statically unanalyzable (SC-W206):
     /// the supply-rate spread times the refill-latency spread, the two

@@ -43,6 +43,7 @@
 
 pub mod asm;
 pub mod dataflow;
+pub mod domain;
 pub mod encoding;
 pub mod exception;
 pub mod instr;

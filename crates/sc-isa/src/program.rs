@@ -120,8 +120,8 @@ impl Program {
     /// Statically validate define-before-use and free discipline.
     ///
     /// This is a thin wrapper over [`dataflow::analyze`], which is the
-    /// single source of truth for liveness rules (and what the
-    /// `sc-lint` liveness pass runs). Redefinition of a live stream is
+    /// single source of truth for liveness rules (and the walk sc-lint,
+    /// sc-verify and sc-cost read). Redefinition of a live stream is
     /// allowed here — the SMT overwrites the mapping in place — but the
     /// linter reports it as a warning.
     ///
@@ -130,17 +130,18 @@ impl Program {
     /// Returns the first [`ValidationError`] found, scanning in order:
     /// uses of undefined streams, frees of dead streams, then leaks.
     pub fn validate(&self) -> Result<(), ValidationError> {
+        use dataflow::Fault;
         for fault in dataflow::analyze(self).faults {
             return Err(match fault {
-                dataflow::Fault::UndefinedUse { at, sid } => {
+                Fault::UndefinedUse { at, sid } | Fault::UseAfterFree { at, sid } => {
                     ValidationError::UndefinedUse { at, sid }
                 }
-                dataflow::Fault::FreeUnmapped { at, sid } => {
+                Fault::FreeUnmapped { at, sid } | Fault::DoubleFree { at, sid } => {
                     ValidationError::DoubleFree { at, sid }
                 }
-                dataflow::Fault::Leak { sid, .. } => ValidationError::Leak { sid },
-                // Allowed by the ISA: not an error at this layer.
-                dataflow::Fault::RedefinedLive { .. } => continue,
+                Fault::Leak { sid, .. } => ValidationError::Leak { sid },
+                // Allowed by the ISA, or a kind check beyond this layer.
+                Fault::RedefinedLive { .. } | Fault::KeyOnlyValueOp { .. } => continue,
             });
         }
         Ok(())

@@ -10,21 +10,26 @@
 //! condition before anything runs, plus performance lints for wasted
 //! stream work.
 //!
-//! Passes (see [`passes`]):
+//! Every lifetime fact comes from the one forward walk in
+//! [`sc_isa::dataflow`], which sc-verify and sc-cost read too; the
+//! [`lifetime`] table names each fact as a diagnostic:
 //!
-//! 1. **liveness** — def-use discipline via [`sc_isa::dataflow`]
-//!    (`SC-E001` use-undefined, `SC-E002` free-unmapped, `SC-E003`
-//!    leak-at-end, `SC-W101` redefined-live).
-//! 2. **kinds** — key-only vs. (key, value) inference (`SC-E004`
-//!    key-only-value-op, predicting `NotKeyValueStream`).
-//! 3. **pressure** — peak live streams vs. SMT capacity (`SC-E005`
-//!    register-pressure, predicting `OutOfStreamRegisters`).
-//! 4. **alias** — overlapping source ranges (`SC-E006` scache-overlap,
+//! * **liveness** — `SC-E001` use-undefined, `SC-E002` free-unmapped,
+//!   `SC-E003` leak-at-end, `SC-W101` redefined-live;
+//! * **kinds** — `SC-E004` key-only-value-op, predicting
+//!   `NotKeyValueStream`;
+//! * **pressure** — `SC-E005` register-pressure, predicting
+//!   `OutOfStreamRegisters`.
+//!
+//! Two passes of their own (see [`passes`]) follow:
+//!
+//! 1. **alias** — overlapping source ranges (`SC-E006` scache-overlap,
 //!    the static shadow of `ScalarTouchesStream`) and `SC-W102`
 //!    zero-length streams.
-//! 5. **perf** — `SC-W201` dead-stream, `SC-W202` unused-read,
+//! 2. **perf** — `SC-W201` dead-stream, `SC-W202` unused-read,
 //!    `SC-W203` missing-bound, `SC-W204` short-stream (threshold
-//!    derived from the hardware config, not a magic number).
+//!    derived from the hardware config, not a magic number; sc-cost
+//!    reports it through [`short_streams`]).
 //!
 //! # Example
 //!
@@ -43,22 +48,38 @@
 
 pub mod config;
 pub mod diag;
+pub mod lifetime;
 pub mod passes;
 pub mod report;
 
 pub use config::{LintConfig, PerfThresholds};
 pub use diag::{Diagnostic, LintCode, Severity};
+pub use passes::perf::short_streams;
 pub use report::Report;
 
+use lifetime::Tool;
+use sc_isa::dataflow::Fault;
 use sc_isa::Program;
 
 /// Run every pass over `program` and collect the findings.
 pub fn lint(program: &Program, config: &LintConfig) -> Report {
     let flow = sc_isa::dataflow::analyze(program);
     let mut diags = Vec::new();
-    passes::liveness::run(&flow, config, &mut diags);
-    passes::kinds::run(program, &mut diags);
-    passes::pressure::run(&flow, config, &mut diags);
+    // Within one instruction: liveness faults (leaks included), then
+    // key-kind faults, then pressure.
+    let (kinds, liveness): (Vec<&Fault>, Vec<&Fault>) =
+        flow.faults.iter().partition(|f| matches!(f, Fault::KeyOnlyValueOp { .. }));
+    for f in liveness.into_iter().chain(kinds) {
+        if config.check_leaks || !matches!(f, Fault::Leak { .. }) {
+            diags.push(lifetime::fault(program, f, Tool::Lint));
+        }
+    }
+    diags.extend(lifetime::pressure(
+        &flow,
+        config.stream_registers,
+        config.virtualization,
+        Tool::Lint,
+    ));
     passes::alias::run(program, &mut diags);
     if config.perf_lints {
         passes::perf::run(program, config, &mut diags);

@@ -1,4 +1,4 @@
-//! Pass 4 — address/alias checks.
+//! Alias pass — address/alias checks.
 //!
 //! `S_READ`/`S_VREAD` pin their source bytes into the S-Cache for the
 //! stream's lifetime, and Section 5.1 of the paper faults any scalar

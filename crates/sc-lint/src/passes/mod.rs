@@ -1,13 +1,9 @@
-//! The analysis passes.
+//! The analysis passes beyond the shared lifetime walk.
 //!
-//! Each pass is one linear walk over the program (the liveness and
-//! pressure passes share the `sc_isa::dataflow` walk) that appends
+//! Each pass is one linear walk over the program that appends
 //! [`Diagnostic`](crate::Diagnostic)s to a shared buffer. Passes are
 //! independent: a fault reported by one does not suppress another, so a
 //! single bad instruction can carry several diagnostics.
 
 pub mod alias;
-pub mod kinds;
-pub mod liveness;
 pub mod perf;
-pub mod pressure;

@@ -1,4 +1,4 @@
-//! Pass 5 — performance lints.
+//! Perf pass — performance lints.
 //!
 //! Four wasted-work patterns the paper's compiler avoids by hand:
 //!
@@ -14,11 +14,11 @@
 //!   optimization.
 //! * `SC-W204` short-stream — a stream statically too short to amortize
 //!   its setup line fetch. The threshold is not a magic number: it is
-//!   [`PerfThresholds`](crate::config::PerfThresholds), derived from
-//!   the line geometry and warmup latency of the hardware config, the
-//!   same derivation `sc-cost` uses.
+//!   [`PerfThresholds`], derived from the line geometry and warmup
+//!   latency of the hardware config. sc-cost reports the same check
+//!   through [`short_streams`] with thresholds from its own parameters.
 
-use crate::config::LintConfig;
+use crate::config::{LintConfig, PerfThresholds};
 use crate::diag::{Diagnostic, LintCode, Severity};
 use sc_isa::{Instr, Program, StreamId};
 
@@ -101,12 +101,10 @@ fn finalize(d: &Live, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-pub(crate) fn run(program: &Program, config: &LintConfig, diags: &mut Vec<Diagnostic>) {
-    let mut live: Vec<Live> = Vec::new();
-
-    // SC-W204: statically short reads. Zero-length reads are excluded —
-    // they are the kinds pass's concern (SC-W102), not a perf smell.
-    let t = config.perf;
+/// `SC-W204`: statically short reads under thresholds `t`. Zero-length
+/// reads are excluded: they are the alias pass's concern (`SC-W102`),
+/// not a perf smell.
+pub fn short_streams(program: &Program, t: &PerfThresholds, diags: &mut Vec<Diagnostic>) {
     for (at, i) in program.iter().enumerate() {
         let (len, sid) = match *i {
             Instr::SRead { len, sid, .. } => (len, sid),
@@ -128,7 +126,12 @@ pub(crate) fn run(program: &Program, config: &LintConfig, diags: &mut Vec<Diagno
             });
         }
     }
+}
 
+pub(crate) fn run(program: &Program, config: &LintConfig, diags: &mut Vec<Diagnostic>) {
+    short_streams(program, &config.perf, diags);
+
+    let mut live: Vec<Live> = Vec::new();
     for (at, i) in program.iter().enumerate() {
         // Record uses against their live definitions.
         match *i {

@@ -57,7 +57,7 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "\
-usage: sc-report <verify|compare|scoreboard|tightness|trend> [options]
+usage: sc-report <verify|compare|scoreboard|tightness|trend|host|explain|html> [options]
 
   verify <path>...
       Parse every record file reachable from each path and re-serialize

@@ -1,31 +1,35 @@
-//! The abstract interpreter over stream-ISA programs.
+//! The verifier's projection of the stream-lifetime walk.
 //!
-//! One forward pass walks the program with three abstract components per
-//! stream register:
+//! The abstract interpretation itself is [`sc_isa::dataflow::analyze`],
+//! the one forward walk every static tool reads. It tracks, per stream
+//! register, the symbolic SMT state (live, freed, never defined), the
+//! kind, a length interval and the source descriptor; per instruction,
+//! the live count and the bytes an output writeback reserves. This
+//! module turns those facts into proof findings under a
+//! [`VerifyConfig`]:
 //!
-//! * **SMT discipline** — a symbolic alloc/free state machine
-//!   (`Live` / `Freed`) that distinguishes *use-after-free* and *double
-//!   free* from plain use-of-undefined, proving the `SC-S301`–`SC-S303`
-//!   sanitizer invariants ahead of execution.
-//! * **Value ranges** — interval analysis on stream lengths (an output's
-//!   length is only known up to a bound: `|a ∩ b| <= min(|a|, |b|)`,
-//!   `|a ∪ b| <= |a| + |b|`, `|a \ b| <= |a|`) and on key ranges
-//!   (an `S_INTER`/`S_SUB` bound clamps the produced keys below it),
-//!   plus strided source descriptors ([`Stride`]).
-//! * **Resource bounds** — per-program-point live-stream counts (the
-//!   S-Cache / SMT pressure upper bound), the peak scratchpad working
-//!   set of priority streams, and the conservative output-writeback
-//!   region derived from the length intervals — checked against the
-//!   protected (read-only) ranges to prove `SC-S310` statically.
+//! * **SMT discipline** — use-after-free, double free and leaks become
+//!   `SC-S303`/`SC-S301`/`SC-S302` through the shared
+//!   [`sc_lint::lifetime`] table, proving those sanitizer invariants
+//!   ahead of execution.
+//! * **Writebacks** — the recorded writeback sizes, laid out from the
+//!   engine's output-allocator base, are checked against the protected
+//!   (read-only) ranges to prove `SC-S310` statically, and against every
+//!   stream's source descriptor.
+//! * **Resource bounds** — the live counts against the register file,
+//!   and the peak scratchpad working set of priority streams against
+//!   the scratchpad (`SC-S312`).
 //!
-//! The pass produces raw [`Diagnostic`]s; [`crate::verify_program`]
-//! wraps them in a [`crate::Verdict`] carrying the discharged proof
-//! obligations.
+//! [`crate::verify_program`] wraps the findings in a [`crate::Verdict`]
+//! carrying the discharged proof obligations.
 
-use crate::domain::{Interval, Stride};
-use sc_isa::{Instr, Key, Program, StreamId};
+use crate::Interval;
+use sc_isa::dataflow::{DataflowResult, Fault};
+use sc_isa::Program;
+use sc_lint::lifetime::{self, Tool};
 use sc_lint::{Diagnostic, LintCode, Severity};
-use std::collections::BTreeMap;
+
+pub use sc_isa::dataflow::len_top;
 
 /// Context the verifier assumes about the machine the program will run
 /// on. Mirrors the execution context of [`sparsecore::Engine`]: register
@@ -109,378 +113,76 @@ impl VerifyConfig {
     }
 }
 
-/// Symbolic SMT state of one stream ID.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SmtState {
-    Live,
-    Freed,
-}
+/// The findings of the walk `flow` over `program` under `config`, in
+/// emission order: within one instruction, use, free and key-kind
+/// faults come first, then the writeback check, a redefinition and
+/// pressure; leaks and source overlaps follow at their definitions.
+pub(crate) fn findings(
+    program: &Program,
+    flow: &DataflowResult,
+    config: &VerifyConfig,
+) -> Vec<Diagnostic> {
+    let named = |f: &Fault| lifetime::fault(program, f, Tool::Verify);
+    let redefinition = |f: &&Fault| matches!(f, Fault::RedefinedLive { .. });
+    let leak = |f: &&Fault| matches!(f, Fault::Leak { .. });
+    let mut findings: Vec<Diagnostic> =
+        flow.faults.iter().filter(|f| !redefinition(f) && !leak(f)).map(named).collect();
 
-/// What the interpreter knows about one stream.
-#[derive(Debug, Clone)]
-struct AbsStream {
-    state: SmtState,
-    /// Key-only or (key, value)?
-    has_values: bool,
-    /// Element-count range (half-open: `[lo, hi)` admits counts
-    /// `lo..hi`).
-    len: Interval,
-    /// Key value range (half-open over the key space).
-    keys: Interval,
-    /// Source descriptor for memory-backed streams.
-    source: Option<Stride>,
-    /// Scratchpad bytes pinned while live (priority streams only).
-    scratch_bytes: u64,
-    /// Instruction index of the defining instruction.
-    defined_at: usize,
-}
-
-/// Raw result of one abstract-interpretation pass.
-#[derive(Debug, Clone)]
-pub struct Analysis {
-    /// Violated obligations, as sanitizer-coded diagnostics.
-    pub findings: Vec<Diagnostic>,
-    /// Live-stream upper bound *after* each instruction (the
-    /// per-program-point S-Cache pressure bound).
-    pub pressure: Vec<usize>,
-    /// Peak of [`Analysis::pressure`].
-    pub max_pressure: usize,
-    /// Upper bound on the scratchpad working set (bytes) at any point.
-    pub scratch_peak: u64,
-    /// Conservative hull of every output-stream writeback.
-    pub writes: Interval,
-}
-
-/// Full key space: nothing known about a stream's key values. Valid
-/// keys stay below the `EOS` sentinel (`Key::MAX`), so the half-open
-/// top is `[0, Key::MAX)`.
-fn key_top() -> Interval {
-    Interval::new(0, u64::from(Key::MAX))
-}
-
-/// Full length space: nothing known about a stream's element count.
-/// Unlike keys, a *length* of `u32::MAX` is representable (`len: u32`
-/// has no sentinel), so the half-open top must extend one past it —
-/// `[0, Key::MAX)` would silently exclude the maximum legal length and
-/// un-widen the domain (the interval-widening off-by-one the fig14
-/// cross-check uncovered).
-pub(crate) fn len_top() -> Interval {
-    Interval::new(0, u64::from(Key::MAX) + 1)
-}
-
-/// Clamp a key range below an `S_INTER`/`S_SUB` bound.
-fn clamp_below(keys: Interval, bound: sc_isa::Bound) -> Interval {
-    match bound.get() {
-        None => keys,
-        Some(b) => keys.meet(&Interval::new(0, u64::from(b))),
-    }
-}
-
-/// The engine's output allocation for `len` keys: 64-byte aligned
-/// (`Engine::set_op`), values doubling the footprint for `S_VMERGE`.
-fn out_bytes(len_upper: u64, has_values: bool) -> u64 {
-    let per_elem = if has_values { 12 } else { 4 };
-    ((len_upper.saturating_mul(per_elem)) | 63) + 1
-}
-
-/// Run the abstract interpreter over `program` under `config`.
-pub fn analyze(program: &Program, config: &VerifyConfig) -> Analysis {
-    let mut streams: BTreeMap<u32, AbsStream> = BTreeMap::new();
-    let mut findings = Vec::new();
-    let mut pressure = Vec::with_capacity(program.len());
-    let mut max_pressure = 0usize;
-    let mut scratch_now = 0u64;
-    let mut scratch_peak = 0u64;
-    let mut out_cursor = config.out_alloc_base;
+    // Output writebacks, laid out by the engine's bump allocator.
+    let mut cursor = config.out_alloc_base;
     let mut writes = Interval::empty();
-    let mut pressure_reported = false;
-
-    let check_write = |lo: u64, hi: u64, at: usize, findings: &mut Vec<Diagnostic>| {
-        let w = Interval::new(lo, hi);
-        for p in &config.protected {
-            if w.overlaps(p) {
-                findings.push(
-                    Diagnostic {
-                        at: Some(at),
-                        ..Diagnostic::sanitizer(
-                            LintCode::SanReadOnlyWrite,
-                            format!(
-                                "output-stream writeback {w} reaches read-only range {p} \
-                                 (runtime counterpart: SC-S310)"
-                            ),
-                        )
-                    }
-                    .with_addr(lo),
-                );
-                break;
-            }
-        }
-    };
-
-    for (at, instr) in program.iter().enumerate() {
-        // Uses first: the symbolic SMT distinguishes freed from
-        // never-defined, which the runtime cannot (both raise
-        // UseUndefined — but only the freed case is the SC-S303 hazard
-        // the sanitizer's cross-state audit guards).
-        for sid in instr.uses_streams() {
-            if matches!(instr, Instr::SFree { .. }) {
-                continue; // the free itself is handled below
-            }
-            match streams.get(&sid.raw()) {
-                None => findings.push(diag_at(
-                    LintCode::UseUndefined,
-                    Severity::Error,
-                    at,
-                    sid,
-                    format!(
-                        "{} uses stream s{}, which was never defined",
-                        instr.mnemonic(),
-                        sid.raw()
-                    ),
-                )),
-                Some(s) if s.state == SmtState::Freed => findings.push(diag_at(
-                    LintCode::SanUseAfterFree,
-                    Severity::Error,
-                    at,
-                    sid,
-                    format!(
-                        "{} uses stream s{} after its S_FREE (runtime counterpart: SC-S303)",
-                        instr.mnemonic(),
-                        sid.raw()
-                    ),
-                )),
-                Some(_) => {}
-            }
-        }
-
-        match *instr {
-            Instr::SRead { key_addr, len, sid, priority } => {
-                let scratch = if priority.0 > 0 { u64::from(len) * 4 } else { 0 };
-                define(
-                    &mut streams,
-                    &mut findings,
-                    sid,
-                    AbsStream {
-                        state: SmtState::Live,
-                        has_values: false,
-                        len: Interval::exact(u64::from(len)),
-                        keys: key_top(),
-                        source: Some(Stride::contiguous(key_addr, u64::from(len), 4)),
-                        scratch_bytes: scratch,
-                        defined_at: at,
-                    },
-                    &mut scratch_now,
-                );
-            }
-            Instr::SVRead { key_addr, len, sid, priority, .. } => {
-                let scratch = if priority.0 > 0 { u64::from(len) * 4 } else { 0 };
-                define(
-                    &mut streams,
-                    &mut findings,
-                    sid,
-                    AbsStream {
-                        state: SmtState::Live,
-                        has_values: true,
-                        len: Interval::exact(u64::from(len)),
-                        keys: key_top(),
-                        source: Some(Stride::contiguous(key_addr, u64::from(len), 4)),
-                        scratch_bytes: scratch,
-                        defined_at: at,
-                    },
-                    &mut scratch_now,
-                );
-            }
-            Instr::SFree { sid } => match streams.get_mut(&sid.raw()) {
-                None => findings.push(diag_at(
-                    LintCode::FreeUnmapped,
-                    Severity::Error,
-                    at,
-                    sid,
-                    format!("S_FREE of stream s{}, which was never defined", sid.raw()),
-                )),
-                Some(s) if s.state == SmtState::Freed => findings.push(diag_at(
-                    LintCode::SanDoubleFree,
-                    Severity::Error,
-                    at,
-                    sid,
-                    format!(
-                        "second S_FREE of stream s{} (runtime counterpart: SC-S301)",
-                        sid.raw()
-                    ),
-                )),
-                Some(s) => {
-                    s.state = SmtState::Freed;
-                    scratch_now = scratch_now.saturating_sub(s.scratch_bytes);
+    for (at, step) in flow.steps.iter().enumerate().filter(|(_, s)| s.writeback > 0) {
+        let w = Interval::new(cursor, cursor + step.writeback);
+        if let Some(p) = config.protected.iter().find(|p| w.overlaps(p)) {
+            findings.push(
+                Diagnostic {
+                    at: Some(at),
+                    ..Diagnostic::sanitizer(
+                        LintCode::SanReadOnlyWrite,
+                        format!(
+                            "output-stream writeback {w} reaches read-only range {p} \
+                             (runtime counterpart: SC-S310)"
+                        ),
+                    )
                 }
-            },
-            Instr::SInter { a, b, out, bound } => {
-                let (la, ka) = range_of(&streams, a);
-                let (lb, kb) = range_of(&streams, b);
-                let len = Interval::new(0, la.hi.min(lb.hi));
-                let len_upper = len.max().unwrap_or(0);
-                let bytes = out_bytes(len_upper, false);
-                check_write(out_cursor, out_cursor + bytes, at, &mut findings);
-                writes = writes.hull(&Interval::new(out_cursor, out_cursor + bytes));
-                out_cursor += bytes;
-                define(
-                    &mut streams,
-                    &mut findings,
-                    out,
-                    AbsStream {
-                        state: SmtState::Live,
-                        has_values: false,
-                        len,
-                        keys: clamp_below(ka.meet(&kb), bound),
-                        source: None,
-                        scratch_bytes: 0,
-                        defined_at: at,
-                    },
-                    &mut scratch_now,
-                );
-            }
-            Instr::SSub { a, b: _, out, bound } => {
-                let (la, ka) = range_of(&streams, a);
-                let len = Interval::new(0, la.hi);
-                let bytes = out_bytes(len.max().unwrap_or(0), false);
-                check_write(out_cursor, out_cursor + bytes, at, &mut findings);
-                writes = writes.hull(&Interval::new(out_cursor, out_cursor + bytes));
-                out_cursor += bytes;
-                define(
-                    &mut streams,
-                    &mut findings,
-                    out,
-                    AbsStream {
-                        state: SmtState::Live,
-                        has_values: false,
-                        len,
-                        keys: clamp_below(ka, bound),
-                        source: None,
-                        scratch_bytes: 0,
-                        defined_at: at,
-                    },
-                    &mut scratch_now,
-                );
-            }
-            Instr::SMerge { a, b, out } => {
-                let (la, ka) = range_of(&streams, a);
-                let (lb, kb) = range_of(&streams, b);
-                let bytes = out_bytes(la.add(&lb).max().unwrap_or(0), false);
-                check_write(out_cursor, out_cursor + bytes, at, &mut findings);
-                writes = writes.hull(&Interval::new(out_cursor, out_cursor + bytes));
-                out_cursor += bytes;
-                define(
-                    &mut streams,
-                    &mut findings,
-                    out,
-                    AbsStream {
-                        state: SmtState::Live,
-                        has_values: false,
-                        len: Interval::new(0, la.add(&lb).hi),
-                        keys: ka.hull(&kb),
-                        source: None,
-                        scratch_bytes: 0,
-                        defined_at: at,
-                    },
-                    &mut scratch_now,
-                );
-            }
-            Instr::SVMerge { a, b, out, .. } => {
-                let (la, ka) = range_of(&streams, a);
-                let (lb, kb) = range_of(&streams, b);
-                for &sid in &[a, b] {
-                    check_kv(&streams, sid, at, &mut findings);
-                }
-                let bytes = out_bytes(la.add(&lb).max().unwrap_or(0), true);
-                check_write(out_cursor, out_cursor + bytes, at, &mut findings);
-                writes = writes.hull(&Interval::new(out_cursor, out_cursor + bytes));
-                out_cursor += bytes;
-                define(
-                    &mut streams,
-                    &mut findings,
-                    out,
-                    AbsStream {
-                        state: SmtState::Live,
-                        has_values: true,
-                        len: Interval::new(0, la.add(&lb).hi),
-                        keys: ka.hull(&kb),
-                        source: None,
-                        scratch_bytes: 0,
-                        defined_at: at,
-                    },
-                    &mut scratch_now,
-                );
-            }
-            Instr::SVInter { a, b, .. } => {
-                for &sid in &[a, b] {
-                    check_kv(&streams, sid, at, &mut findings);
-                }
-            }
-            // Scalar-result and no-op-for-state instructions: uses were
-            // checked above, no new stream state.
-            Instr::SInterC { .. }
-            | Instr::SSubC { .. }
-            | Instr::SMergeC { .. }
-            | Instr::SFetch { .. }
-            | Instr::SLdGfr { .. }
-            | Instr::SNestInter { .. } => {}
+                .with_addr(cursor),
+            );
         }
-
-        scratch_peak = scratch_peak.max(scratch_now);
-        let live = streams.values().filter(|s| s.state == SmtState::Live).count();
-        max_pressure = max_pressure.max(live);
-        pressure.push(live);
-        if live > config.stream_registers && !pressure_reported {
-            pressure_reported = true;
-            let severity = if config.virtualization { Severity::Note } else { Severity::Error };
-            findings.push(diag(
-                LintCode::RegisterPressure,
-                severity,
-                Some(at),
-                format!(
-                    "live-stream upper bound {live} exceeds the {} stream registers{}",
-                    config.stream_registers,
-                    if config.virtualization { " (virtualization spills; no fault)" } else { "" }
-                ),
-            ));
-        }
+        writes = writes.hull(&w);
+        cursor += step.writeback;
     }
 
+    findings.extend(flow.faults.iter().filter(redefinition).map(named));
+    findings.extend(lifetime::pressure(
+        flow,
+        config.stream_registers,
+        config.virtualization,
+        Tool::Verify,
+    ));
     // End-of-program leak proof (static counterpart of SC-S302, which
     // the sanitizer only checks in its *final* audit).
-    for (raw, s) in &streams {
-        if s.state == SmtState::Live {
-            findings.push(diag_at(
-                LintCode::SanStreamLeak,
-                Severity::Error,
-                s.defined_at,
-                StreamId::new(*raw),
-                format!(
-                    "stream s{raw} (defined at instruction {}) is still live at the end of \
-                     the program (runtime counterpart: SC-S302)",
-                    s.defined_at
-                ),
-            ));
-        }
-    }
+    findings.extend(flow.faults.iter().filter(leak).map(named));
 
     // Source/output aliasing: a memory-backed stream whose descriptor
     // lies inside the output-allocator's write region can be clobbered
     // by a later writeback (static counterpart of the SC-E006 alias
     // family). Real programs read graph/tensor data far below the
     // allocator base, so a hit means a miscomputed descriptor.
-    for (raw, s) in &streams {
+    for s in &flow.streams {
         if let Some(src) = &s.source {
             if src.hull().overlaps(&writes) {
-                findings.push(diag_at(
-                    LintCode::ScacheOverlap,
-                    Severity::Warning,
-                    s.defined_at,
-                    StreamId::new(*raw),
-                    format!(
-                        "stream s{raw}'s source {src} lies inside the output-writeback \
-                         region {writes}; a writeback may clobber it"
+                findings.push(Diagnostic {
+                    code: LintCode::ScacheOverlap,
+                    severity: Severity::Warning,
+                    at: Some(s.defined_at),
+                    sid: Some(s.sid),
+                    addr: None,
+                    message: format!(
+                        "stream {}'s source {src} lies inside the output-writeback \
+                         region {writes}; a writeback may clobber it",
+                        s.sid
                     ),
-                ));
+                });
             }
         }
     }
@@ -488,86 +190,18 @@ pub fn analyze(program: &Program, config: &VerifyConfig) -> Analysis {
     // Scratchpad bound (static counterpart of the SC-S312 accounting
     // audit): when the priority working set provably fits, the runtime
     // accountant can never legitimately exceed capacity.
-    if scratch_peak > config.scratchpad_bytes {
-        findings.push(diag(
-            LintCode::SanScratchpadBounds,
-            Severity::Warning,
-            None,
-            format!(
-                "priority-stream working set may reach {scratch_peak} bytes, beyond the \
-                 {}-byte scratchpad; the bound is checked at runtime instead (SC-S312)",
-                config.scratchpad_bytes
-            ),
-        ));
+    if flow.scratch_peak > config.scratchpad_bytes {
+        findings.push(Diagnostic {
+            severity: Severity::Warning,
+            ..Diagnostic::sanitizer(
+                LintCode::SanScratchpadBounds,
+                format!(
+                    "priority-stream working set may reach {} bytes, beyond the \
+                     {}-byte scratchpad; the bound is checked at runtime instead (SC-S312)",
+                    flow.scratch_peak, config.scratchpad_bytes
+                ),
+            )
+        });
     }
-
-    Analysis { findings, pressure, max_pressure, scratch_peak, writes }
-}
-
-/// Length and key ranges of a (hopefully live) stream; top when unknown
-/// so later obligations stay conservative.
-fn range_of(streams: &BTreeMap<u32, AbsStream>, sid: StreamId) -> (Interval, Interval) {
-    match streams.get(&sid.raw()) {
-        Some(s) if s.state == SmtState::Live => (s.len, s.keys),
-        _ => (len_top(), key_top()),
-    }
-}
-
-/// `S_VINTER`/`S_VMERGE` operands must carry values (`SC-E004`).
-fn check_kv(
-    streams: &BTreeMap<u32, AbsStream>,
-    sid: StreamId,
-    at: usize,
-    findings: &mut Vec<Diagnostic>,
-) {
-    if let Some(s) = streams.get(&sid.raw()) {
-        if s.state == SmtState::Live && !s.has_values {
-            findings.push(diag_at(
-                LintCode::KeyOnlyValueOp,
-                Severity::Error,
-                at,
-                sid,
-                format!("value operation on key-only stream s{}", sid.raw()),
-            ));
-        }
-    }
-}
-
-/// Install a new definition, flagging redefinition of a live stream
-/// (`SC-W101`) and keeping the scratchpad accumulator consistent.
-fn define(
-    streams: &mut BTreeMap<u32, AbsStream>,
-    findings: &mut Vec<Diagnostic>,
-    sid: StreamId,
-    s: AbsStream,
-    scratch_now: &mut u64,
-) {
-    if let Some(old) = streams.get(&sid.raw()) {
-        if old.state == SmtState::Live {
-            findings.push(diag_at(
-                LintCode::RedefinedLive,
-                Severity::Warning,
-                s.defined_at,
-                sid,
-                format!("stream s{} redefined while live (missing S_FREE?)", sid.raw()),
-            ));
-            *scratch_now = scratch_now.saturating_sub(old.scratch_bytes);
-        }
-    }
-    *scratch_now += s.scratch_bytes;
-    streams.insert(sid.raw(), s);
-}
-
-fn diag(code: LintCode, severity: Severity, at: Option<usize>, message: String) -> Diagnostic {
-    Diagnostic { code, severity, at, sid: None, addr: None, message }
-}
-
-fn diag_at(
-    code: LintCode,
-    severity: Severity,
-    at: usize,
-    sid: StreamId,
-    message: String,
-) -> Diagnostic {
-    Diagnostic { code, severity, at: Some(at), sid: Some(sid), addr: None, message }
+    findings
 }

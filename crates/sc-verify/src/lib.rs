@@ -1,10 +1,11 @@
 //! # sc-verify — ahead-of-execution proofs for stream programs and plans
 //!
-//! `sc-lint` (PR 3) pattern-checks stream programs; `sc-san` (PR 2)
-//! *detects* invariant violations while the model runs. This crate closes
-//! the gap with *proofs*: an abstract interpreter over the stream ISA
-//! ([`absint`]) and a partition-plan disjointness verifier ([`plan`])
-//! whose verdicts carry the exact runtime sanitizer code (`SC-S3xx`) each
+//! `sc-lint` pattern-checks stream programs; `sc-san` *detects*
+//! invariant violations while the model runs. This crate closes the gap
+//! with *proofs*: a projection ([`absint`]) of the one stream-lifetime
+//! walk, [`sc_isa::dataflow::analyze`], that sc-lint and sc-cost read
+//! too, and a partition-plan disjointness verifier ([`plan`]), whose
+//! verdicts carry the exact runtime sanitizer code (`SC-S3xx`) each
 //! discharged obligation subsumes.
 //!
 //! The correctness stack reads bottom-up:
@@ -26,15 +27,14 @@
 //! (`Report::to_sarif_with_driver` tags them with this crate's name).
 
 pub mod absint;
-pub mod domain;
 pub mod plan;
 
-pub use absint::{analyze, Analysis, VerifyConfig, OUT_ALLOC_BASE};
-pub use domain::{Interval, Stride};
+pub use absint::{VerifyConfig, OUT_ALLOC_BASE};
 pub use plan::{
     chunk_write_set, interleave_write_set, verify_chunk_plan, verify_core_write_sets, PlanProof,
     PlanVerdict,
 };
+pub use sc_isa::domain::{self, Interval, Stride};
 
 use sc_isa::Program;
 use sc_lint::{LintCode, Report, Severity};
@@ -104,22 +104,23 @@ const OBLIGATIONS: &[(&str, &[LintCode])] = &[
     ("value operations only touch (key, value) streams", &[LintCode::KeyOnlyValueOp]),
 ];
 
-/// Run the abstract interpreter and fold the analysis into a [`Verdict`]:
+/// Run the stream-lifetime walk and fold its facts into a [`Verdict`]:
 /// findings become a sorted [`Report`], and every obligation family with
 /// no finding is recorded as a discharged [`Proof`].
 pub fn verify_program(program: &Program, config: &VerifyConfig) -> Verdict {
-    let analysis = absint::analyze(program, config);
+    let flow = sc_isa::dataflow::analyze(program);
+    let findings = absint::findings(program, &flow, config);
     let proofs = OBLIGATIONS
         .iter()
-        .filter(|(_, codes)| !analysis.findings.iter().any(|d| codes.contains(&d.code)))
+        .filter(|(_, codes)| !findings.iter().any(|d| codes.contains(&d.code)))
         .map(|&(obligation, subsumes)| Proof { obligation, subsumes })
         .collect();
     Verdict {
-        report: Report::new(analysis.findings),
+        report: Report::new(findings),
         proofs,
-        pressure: analysis.pressure,
-        max_pressure: analysis.max_pressure,
-        scratch_peak: analysis.scratch_peak,
+        max_pressure: flow.max_live(),
+        scratch_peak: flow.scratch_peak,
+        pressure: flow.live_at,
     }
 }
 

@@ -20,7 +20,7 @@
 //! runtime sanitizer code that would fire when the overlapping writer
 //! hits the other core's protected range.
 
-use crate::domain::{Interval, Stride};
+use crate::{Interval, Stride};
 use sc_lint::{Diagnostic, LintCode};
 use sparsecore::Chunk;
 

@@ -46,11 +46,13 @@ drain() {
 
 for i in $(seq "$REPEATS"); do
   echo "==> record pass $i/$REPEATS -> $OUT (jobs $JOBS, pool $POOL)"
-  # Small fixed dataset slices keep the whole matrix near 10 s while
-  # still exercising every modeled subsystem (GPM accel baselines, CPU
-  # speedups, the three spmspm dataflows, TTV/TTM, the four ablations,
-  # multi-core partitioning, and the dataset generators). FSM is skipped:
-  # it alone costs ~2 minutes on mico.
+  # Small fixed dataset slices keep one pass of the matrix at about
+  # 37 s wall (measured on a 2-vCPU Intel Xeon Linux container, rustc
+  # 1.95, release build, jobs auto, pool 1) while still exercising
+  # every modeled subsystem (GPM accel baselines, CPU speedups, the
+  # three spmspm dataflows, TTV/TTM, the four ablations, multi-core
+  # partitioning, and the dataset generators). FSM is skipped: it alone
+  # costs ~2 minutes on mico.
   # --cost on every engine-driven bench: each records the soundness
   # replay gate's gauges (cost.checked / cost.violations /
   # cost.tightness), which `sc-report tightness` gates on below.
