@@ -177,6 +177,7 @@ impl Core {
     }
 
     /// Total cycles elapsed.
+    #[inline]
     pub fn cycles(&self) -> Cycle {
         self.cycle
     }
@@ -288,19 +289,24 @@ impl Core {
     }
 
     /// Issue `n` *independent* micro-ops: they retire at the issue width.
+    #[inline]
     pub fn ops(&mut self, n: u64) {
         self.stats.uops += n;
         let total = self.slack_uops + n;
         let width = u64::from(self.config.issue_width);
+        if total < width {
+            // Not yet a full issue cycle: skip the divide.
+            self.slack_uops = total;
+            return;
+        }
         let cycles = total / width;
         self.slack_uops = total % width;
-        if cycles > 0 {
-            self.advance(cycles, AdvanceKind::Compute(self.region));
-        }
+        self.advance(cycles, AdvanceKind::Compute(self.region));
     }
 
     /// Issue `n` *serially dependent* micro-ops (a dependence chain): one
     /// cycle each.
+    #[inline]
     pub fn dependent_ops(&mut self, n: u64) {
         self.stats.uops += n;
         self.advance(n, AdvanceKind::Compute(self.region));
@@ -308,6 +314,7 @@ impl Core {
 
     /// Execute a conditional branch at `pc` whose real outcome was `taken`.
     /// Charges one issue slot, plus the refill penalty on a mispredict.
+    #[inline]
     pub fn branch(&mut self, pc: Addr, taken: bool) {
         self.stats.branches += 1;
         self.ops(1);
@@ -321,6 +328,7 @@ impl Core {
     /// Issue a load whose consumer is far away: it overlaps with other
     /// work and other loads (up to the load-queue depth). Only queue-full
     /// pressure is exposed as stall.
+    #[inline]
     pub fn load(&mut self, addr: Addr) {
         self.stats.loads += 1;
         self.ops(1);
@@ -347,6 +355,7 @@ impl Core {
     /// Issue a load whose value is needed immediately (pointer chase /
     /// data-dependent compare). The beyond-L1 latency is exposed as a
     /// cache stall; an L1 hit is hidden by the pipeline.
+    #[inline]
     pub fn load_use(&mut self, addr: Addr) {
         self.stats.loads += 1;
         self.ops(1);
@@ -359,6 +368,7 @@ impl Core {
     }
 
     /// Issue a store (write-allocate; does not stall the core).
+    #[inline]
     pub fn store(&mut self, addr: Addr) {
         self.stats.stores += 1;
         self.ops(1);

@@ -78,15 +78,12 @@ impl Gshare {
         let predicted_taken = counter >= 2;
         let correct = predicted_taken == taken;
         self.predictions += 1;
-        if !correct {
-            self.mispredictions += 1;
-        }
-        self.table[idx] = match (counter, taken) {
-            (3, true) => 3,
-            (c, true) => c + 1,
-            (0, false) => 0,
-            (c, false) => c - 1,
-        };
+        // No host branch on the outcome, which is close to random in an
+        // intersection loop. The counter moves +1 when taken and -1 when
+        // not, saturating at 0 and 3; LLVM turns the plain
+        // `if taken { .. } else { .. }` form of that into a branch.
+        self.mispredictions += u64::from(!correct);
+        self.table[idx] = (counter + 2 * u8::from(taken)).saturating_sub(1).min(3);
         self.history = ((self.history << 1) | u64::from(taken)) & self.mask;
         correct
     }
@@ -178,6 +175,31 @@ mod tests {
         bp.reset_stats();
         assert_eq!(bp.predictions, 0);
         assert_eq!(bp.mispredict_rate(), 0.0);
+    }
+
+    #[test]
+    fn counter_update_is_exhaustively_saturating() {
+        // (counter, taken) -> next counter, for all four 2-bit states.
+        let next = [
+            ((0, false), 0),
+            ((0, true), 1),
+            ((1, false), 0),
+            ((1, true), 2),
+            ((2, false), 1),
+            ((2, true), 3),
+            ((3, false), 2),
+            ((3, true), 3),
+        ];
+        for ((counter, taken), expected) in next {
+            let mut bp = Gshare::new(8);
+            let idx = bp.index(0x40);
+            bp.table[idx] = counter;
+            let correct = bp.predict_and_update(0x40, taken);
+            assert_eq!(bp.table[idx], expected, "counter {counter}, taken {taken}");
+            assert_eq!(correct, (counter >= 2) == taken, "counter {counter}, taken {taken}");
+            assert_eq!(bp.mispredictions, u64::from(!correct));
+            assert_eq!(bp.predictions, 1);
+        }
     }
 
     #[test]

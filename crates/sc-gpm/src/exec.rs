@@ -719,9 +719,8 @@ impl<'g> SetBackend for ScalarBackend<'g> {
 
     fn list_contains(&mut self, v: Key, k: Key) -> bool {
         self.core.load_use(self.g.index_entry_addr(v));
-        let base = self.g.edge_list_addr(v);
-        let keys = self.g.neighbors(v).to_vec();
-        self.binary_search_charged(base, &keys, k)
+        let g = self.g;
+        self.binary_search_charged(g.edge_list_addr(v), g.neighbors(v), k)
     }
 
     fn nested_count(&mut self, _s: &ScalarSet) -> Option<u64> {

@@ -75,6 +75,9 @@ pub struct Cache {
     demand_accesses: u64,
     set_shift: u32,
     num_sets: u64,
+    /// `num_sets - 1` when the set count is a power of two, so indexing
+    /// masks instead of dividing; `None` selects modulo indexing.
+    set_mask: Option<u64>,
 }
 
 impl Cache {
@@ -103,6 +106,7 @@ impl Cache {
             demand_accesses: 0,
             set_shift: config.line_bytes.trailing_zeros(),
             num_sets,
+            set_mask: num_sets.is_power_of_two().then(|| num_sets - 1),
         }
     }
 
@@ -129,30 +133,42 @@ impl Cache {
 
     #[inline]
     fn set_index(&self, line: u64) -> usize {
-        // Modulo indexing so non-power-of-two set counts (e.g. the paper's
-        // 12 MiB L3 -> 12288 sets) work correctly.
-        (line % self.num_sets) as usize
+        // Power-of-two set counts mask; the others (e.g. the paper's
+        // 12 MiB L3 -> 12288 sets) fall back to modulo indexing.
+        match self.set_mask {
+            Some(mask) => (line & mask) as usize,
+            None => (line % self.num_sets) as usize,
+        }
     }
 
-    /// Access `addr`, updating recency; inserts the line on a miss.
+    /// The set holding `line` and the way it occupies, if resident.
     ///
-    /// Returns `true` on hit, `false` on miss. On miss, the LRU line in the
-    /// set is evicted if the set is full.
-    pub fn access(&mut self, addr: Addr) -> bool {
-        let line = self.line_of(addr);
+    /// The scan visits every resident way without an early exit, so the
+    /// host takes no branch on where (or whether) the tag matched. Tags
+    /// are unique within a set, so the last match is the only match.
+    #[inline]
+    fn lookup(&self, line: u64) -> (usize, Option<usize>) {
         let idx = self.set_index(line);
-        self.demand_accesses += 1;
+        let mut way = usize::MAX;
+        for (i, &(tag, _)) in self.sets[idx].lines.iter().enumerate() {
+            way = if tag == line { i } else { way };
+        }
+        (idx, (way != usize::MAX).then_some(way))
+    }
+
+    /// Refresh `line`'s recency, or insert it (evicting the true-LRU way
+    /// of a full set). Returns `true` when the line was already resident.
+    #[inline]
+    fn touch(&mut self, line: u64) -> bool {
+        let (idx, way) = self.lookup(line);
         self.tick += 1;
         let tick = self.tick;
-        let ways = self.config.ways as usize;
         let set = &mut self.sets[idx];
-        if let Some(entry) = set.lines.iter_mut().find(|(tag, _)| *tag == line) {
-            entry.1 = tick;
-            self.stats.hits += 1;
+        if let Some(way) = way {
+            set.lines[way].1 = tick;
             return true;
         }
-        self.stats.misses += 1;
-        if set.lines.len() >= ways {
+        if set.lines.len() >= self.config.ways as usize {
             // Evict true-LRU: the entry with the smallest timestamp.
             let victim = set
                 .lines
@@ -168,53 +184,41 @@ impl Cache {
         false
     }
 
+    /// Access `addr`, updating recency; inserts the line on a miss.
+    ///
+    /// Returns `true` on hit, `false` on miss. On miss, the LRU line in the
+    /// set is evicted if the set is full.
+    #[inline]
+    pub fn access(&mut self, addr: Addr) -> bool {
+        self.demand_accesses += 1;
+        let hit = self.touch(self.line_of(addr));
+        self.stats.hits += u64::from(hit);
+        self.stats.misses += u64::from(!hit);
+        hit
+    }
+
     /// Probe for `addr` without updating recency or inserting.
     pub fn probe(&self, addr: Addr) -> bool {
-        let line = self.line_of(addr);
-        let idx = self.set_index(line);
-        self.sets[idx].lines.iter().any(|(tag, _)| *tag == line)
+        self.lookup(self.line_of(addr)).1.is_some()
     }
 
     /// Insert the line containing `addr` without counting a demand access
     /// (used for prefetch fills).
     pub fn fill(&mut self, addr: Addr) {
-        let line = self.line_of(addr);
-        let idx = self.set_index(line);
-        self.tick += 1;
-        let tick = self.tick;
-        let ways = self.config.ways as usize;
-        let set = &mut self.sets[idx];
-        if let Some(entry) = set.lines.iter_mut().find(|(tag, _)| *tag == line) {
-            entry.1 = tick;
-            return;
-        }
-        if set.lines.len() >= ways {
-            let victim = set
-                .lines
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, t))| *t)
-                .map(|(i, _)| i)
-                .expect("non-empty set");
-            set.lines.swap_remove(victim);
-            self.stats.evictions += 1;
-        }
-        set.lines.push((line, tick));
-        self.stats.fills += 1;
+        let hit = self.touch(self.line_of(addr));
+        self.stats.fills += u64::from(!hit);
     }
 
     /// Invalidate the line containing `addr`, if present.
     ///
     /// Returns `true` if a line was removed.
     pub fn invalidate(&mut self, addr: Addr) -> bool {
-        let line = self.line_of(addr);
-        let idx = self.set_index(line);
-        let set = &mut self.sets[idx];
-        if let Some(pos) = set.lines.iter().position(|(tag, _)| *tag == line) {
-            set.lines.swap_remove(pos);
-            true
-        } else {
-            false
+        match self.lookup(self.line_of(addr)) {
+            (idx, Some(way)) => {
+                self.sets[idx].lines.swap_remove(way);
+                true
+            }
+            (_, None) => false,
         }
     }
 
@@ -431,6 +435,155 @@ mod tests {
         c.sabotage_duplicate_line();
         let v = c.audit();
         assert!(v.iter().any(|x| x.kind == AuditKind::LruOrder), "{v:?}");
+    }
+
+    /// The straightforward cache the optimized one must match exactly:
+    /// modulo set indexing, an early-exit tag search and a true-LRU
+    /// `min_by_key` victim, on one `Vec<(tag, tick)>` per set.
+    struct Reference {
+        sets: Vec<Vec<(u64, u64)>>,
+        ways: usize,
+        shift: u32,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl Reference {
+        fn new(config: CacheConfig) -> Self {
+            Reference {
+                sets: vec![Vec::new(); config.num_sets() as usize],
+                ways: config.ways as usize,
+                shift: config.line_bytes.trailing_zeros(),
+                tick: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn set(&mut self, addr: Addr) -> (u64, &mut Vec<(u64, u64)>) {
+            let line = addr >> self.shift;
+            let n = self.sets.len() as u64;
+            (line, &mut self.sets[(line % n) as usize])
+        }
+
+        /// Refresh or insert; `true` on a hit.
+        fn touch(&mut self, addr: Addr) -> bool {
+            self.tick += 1;
+            let (tick, ways) = (self.tick, self.ways);
+            let (line, set) = self.set(addr);
+            if let Some(entry) = set.iter_mut().find(|(tag, _)| *tag == line) {
+                entry.1 = tick;
+                return true;
+            }
+            let evict = set.len() >= ways;
+            if evict {
+                let victim =
+                    set.iter().enumerate().min_by_key(|(_, (_, t))| *t).map(|(i, _)| i).unwrap();
+                set.swap_remove(victim);
+            }
+            set.push((line, tick));
+            self.stats.evictions += u64::from(evict);
+            false
+        }
+
+        fn access(&mut self, addr: Addr) -> bool {
+            let hit = self.touch(addr);
+            if hit {
+                self.stats.hits += 1;
+            } else {
+                self.stats.misses += 1;
+            }
+            hit
+        }
+
+        fn fill(&mut self, addr: Addr) {
+            if !self.touch(addr) {
+                self.stats.fills += 1;
+            }
+        }
+
+        fn probe(&mut self, addr: Addr) -> bool {
+            let (line, set) = self.set(addr);
+            set.iter().any(|(tag, _)| *tag == line)
+        }
+
+        fn invalidate(&mut self, addr: Addr) -> bool {
+            let (line, set) = self.set(addr);
+            match set.iter().position(|(tag, _)| *tag == line) {
+                Some(pos) => {
+                    set.swap_remove(pos);
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn flush(&mut self) {
+            self.sets.iter_mut().for_each(Vec::clear);
+        }
+
+        fn resident_lines(&self) -> usize {
+            self.sets.iter().map(Vec::len).sum()
+        }
+    }
+
+    /// Drive `Cache` and the reference with one random operation stream
+    /// and require identical answers after every step.
+    fn differential(config: CacheConfig, steps: usize, seed: u64) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut cache = Cache::new(config);
+        let mut reference = Reference::new(config);
+        let sets = config.num_sets();
+        let ways = u64::from(config.ways);
+        // A handful of hot sets get twice their associativity in distinct
+        // lines (hits, conflict misses, LRU evictions); the rest of the
+        // traffic is spread over 4x the capacity (set indexing).
+        let hot: Vec<u64> = (0..4).map(|_| rng.gen_range(0..sets)).collect();
+        for step in 0..steps {
+            let line = if rng.gen_bool(0.7) {
+                hot[rng.gen_range(0..hot.len())] + sets * rng.gen_range(0..2 * ways)
+            } else {
+                rng.gen_range(0..4 * sets * ways)
+            };
+            let addr = line * config.line_bytes + rng.gen_range(0..config.line_bytes);
+            let ctx = || format!("{config:?} seed {seed} step {step} addr {addr:#x}");
+            match rng.gen_range(0..1000u32) {
+                0..=599 => assert_eq!(cache.access(addr), reference.access(addr), "{}", ctx()),
+                600..=749 => {
+                    cache.fill(addr);
+                    reference.fill(addr);
+                }
+                750..=899 => assert_eq!(cache.probe(addr), reference.probe(addr), "{}", ctx()),
+                900..=997 => {
+                    assert_eq!(cache.invalidate(addr), reference.invalidate(addr), "{}", ctx())
+                }
+                _ => {
+                    cache.flush();
+                    reference.flush();
+                }
+            }
+            assert_eq!(*cache.stats(), reference.stats, "{}", ctx());
+            assert_eq!(cache.resident_lines(), reference.resident_lines(), "{}", ctx());
+            if step % 1000 == 999 {
+                assert!(cache.audit().is_empty(), "{}: {:?}", ctx(), cache.audit());
+            }
+        }
+        // The stream must have exercised every path it compares.
+        let s = reference.stats;
+        assert!(s.hits > 0 && s.misses > 0 && s.fills > 0 && s.evictions > 0, "{config:?}: {s:?}");
+    }
+
+    #[test]
+    fn matches_reference_model() {
+        let one_way = CacheConfig { size_bytes: 1024, ways: 1, line_bytes: 64, latency: 1 };
+        for config in
+            [CacheConfig::l1d(), CacheConfig::l2(), CacheConfig::l3(), one_way, *tiny().config()]
+        {
+            for seed in 1..=3 {
+                differential(config, 4000, seed);
+            }
+        }
     }
 
     #[test]

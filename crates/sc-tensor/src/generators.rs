@@ -61,6 +61,10 @@ pub fn random_matrix(rows: usize, cols: usize, nnz: usize, seed: u64) -> CsrMatr
 /// Generate a random CSF 3-tensor with `num_fibers` nonzero (i, j) fibers
 /// and `nnz` total entries (distributed over the fibers with variation).
 ///
+/// The last fiber takes whatever the others left over, capped at
+/// `dims[2]` entries: when the remainder exceeds that, the tensor comes
+/// out with fewer than `nnz` entries.
+///
 /// # Panics
 ///
 /// Panics if `num_fibers` exceeds `dims[0] * dims[1]`, or the entries per
@@ -85,7 +89,7 @@ pub fn random_tensor(dims: [usize; 3], num_fibers: usize, nnz: usize, seed: u64)
     for (n, &(i, j)) in fibers.iter().enumerate() {
         let left = num_fibers - n;
         let target = if left == 1 {
-            remaining
+            remaining.min(dims[2])
         } else {
             let jitter = rng.gen_range(0.5..1.5);
             ((mean * jitter).round() as usize).clamp(1, dims[2]).min(remaining - (left - 1))
@@ -151,6 +155,20 @@ mod tests {
             random_tensor([10, 10, 20], 30, 120, 9),
             random_tensor([10, 10, 20], 30, 120, 9)
         );
+    }
+
+    #[test]
+    fn tensor_last_fiber_capped_at_k_dim() {
+        // The jittered fibers leave more than `dims[2]` entries for the
+        // last one on this seed, which used to loop forever looking for
+        // that many distinct keys.
+        let t = random_tensor([8, 8, 6], 20, 100, 0);
+        assert_eq!(t.num_fibers(), 20);
+        assert!(t.nnz() < 100, "nnz {}", t.nnz());
+        // The same at the Uber shape (`TensorDataset::UberPickups`).
+        let t = random_tensor([430, 1100, 1700], 16_500, 330_000, 0xc3f2_827a_ffe7_f664);
+        assert_eq!(t.num_fibers(), 16_500);
+        assert!(t.nnz() < 330_000, "nnz {}", t.nnz());
     }
 
     #[test]
