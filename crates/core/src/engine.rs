@@ -29,7 +29,7 @@ use sc_cpu::Core;
 use sc_isa::{Bound, GfrSet, Key, Priority, StreamException, StreamId, Value, ValueOp, EOS};
 use sc_lint::{Diagnostic, LintCode};
 use sc_mem::{Scratchpad, StreamCacheStorage};
-use sc_probe::{AttrBin, Probe, Track};
+use sc_probe::{AttrBin, Probe, Site, Track};
 use std::collections::VecDeque;
 
 /// Cycle alias.
@@ -248,7 +248,7 @@ impl Engine {
     /// translator / scalar-overlap. `attribution().total()` equals
     /// [`sc_cpu::Core::cycles`] by construction; call after
     /// [`Engine::finish`] for it to also equal [`Engine::cycles`].
-    pub fn attribution(&self) -> &sc_probe::Attribution {
+    pub fn attribution(&self) -> sc_probe::Attribution {
         self.core.attribution()
     }
 
@@ -278,7 +278,7 @@ impl Engine {
         if !self.probe.enabled() {
             return;
         }
-        let attr = *self.core.attribution();
+        let attr = self.core.attribution();
         let b = self.breakdown();
         let core_cycles = self.core.cycles();
         let total = self.cycles();
@@ -751,14 +751,14 @@ impl Engine {
         let ready = self.smt.get(sid)?.ready_at;
         // A fetch that blocks on an output stream is waiting for the
         // producing SU's comparisons; blocking on a memory-sourced stream
-        // is an S-Cache refill wait.
-        let wait_bin = if self.data[idx].as_ref().is_some_and(|p| p.source == StreamSource::Output)
+        // is waiting for its first S-Cache window (stream setup).
+        let wait_site = if self.data[idx].as_ref().is_some_and(|p| p.source == StreamSource::Output)
         {
-            AttrBin::SuCompare
+            Site::SuRetire
         } else {
-            AttrBin::ScacheRefill
+            Site::StreamSetup
         };
-        let prev = self.core.set_stall_ctx(wait_bin);
+        let prev = self.core.set_stall_site(wait_site);
         self.core.wait_until(ready);
         let key = {
             let payload = self.data[idx].as_ref().expect("mapped stream has payload");
@@ -774,17 +774,14 @@ impl Engine {
                     extra = extra.max(self.core.mem_mut().load_bypassing_l1(*a).latency);
                 }
                 if extra > 0 {
-                    self.core.set_stall_ctx(AttrBin::ScacheRefill);
-                    // Distinguish the window fill from first-touch stream
-                    // setup in the span log.
-                    self.core.set_stall_site(sc_probe::Site::ScacheFill);
+                    self.core.set_stall_site(Site::ScacheFill);
                     self.core.stall_memory(extra);
                 }
                 Ok(k)
             }
             None => Ok(EOS),
         };
-        self.core.set_stall_ctx(prev);
+        self.core.set_stall_site(prev);
         out
     }
 
@@ -903,7 +900,6 @@ impl Engine {
                 );
             }
         }
-        self.core.add_intersection_cycles(0); // bucket exists even if zero
         self.last_event = self.last_event.max(done);
         if let Some(san) = &mut self.san {
             san.check_su_event(ready, start, done);
@@ -1373,7 +1369,7 @@ impl Engine {
         // Everything the core itself stalls on inside this loop — the
         // stream-info loads and the translation-buffer back-pressure — is
         // translator work (paper Section 4.6), not a generic memory stall.
-        let prev = self.core.set_stall_ctx(AttrBin::Translator);
+        let prev = self.core.set_stall_site(Site::Translator);
         for &s_i in &s_keys {
             // Translator loads the stream info (vertex array + CSR offset)
             // through the load queue.
@@ -1412,7 +1408,7 @@ impl Engine {
             self.core.ops(1); // the accumulate micro-op
             self.probe.observe("engine.stream_len", nkeys.len() as u64);
         }
-        self.core.set_stall_ctx(prev);
+        self.core.set_stall_site(prev);
         if self.probe.tracing() {
             self.probe.span(
                 Track::Engine,
@@ -1464,10 +1460,9 @@ impl Engine {
         let t0 = self.core.cycles();
         // Draining means waiting for the last SU completion: the core is
         // blocked on outstanding comparisons, not on memory.
-        let prev = self.core.set_stall_ctx(AttrBin::SuCompare);
-        self.core.set_stall_site(sc_probe::Site::Drain);
+        let prev = self.core.set_stall_site(Site::Drain);
         self.core.wait_until(self.last_event);
-        self.core.set_stall_ctx(prev);
+        self.core.set_stall_site(prev);
         let t1 = self.core.cycles();
         if self.probe.tracing() && t1 > t0 {
             self.probe.span(Track::Engine, "drain", t0, t1, &[]);
@@ -1488,7 +1483,7 @@ impl Engine {
     /// reported as fractions of their sum, exactly as the paper's stacked
     /// bars are.)
     pub fn breakdown(&self) -> sc_cpu::Breakdown {
-        let mut b = *self.core.breakdown();
+        let mut b = self.core.breakdown();
         b.intersection += self.stats.su_busy_cycles;
         b
     }

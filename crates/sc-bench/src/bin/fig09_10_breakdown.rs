@@ -1,14 +1,16 @@
 //! Figures 9 and 10: execution-cycle breakdowns for the CPU baseline and
 //! SparseCore.
 //!
-//! Figure 9 uses the scalar core's model buckets (Cache, Mispred.,
-//! Other, Intersection). Figure 10 reports from `sc-probe`'s live
-//! cycle-attribution profiler: every cycle the stream engine's clock
-//! advances is binned at the `Core::advance` choke point into
-//! {SU compare, S-Cache refill, memory stall, translator, scalar
-//! overlap}, so the bins sum to the total modeled cycles *by
-//! construction* — asserted per run below, and covered by
-//! `sparsecore`'s `probe_attribution_conserves_engine_cycles` test.
+//! Both figures are projections of the core model's one cycle ledger:
+//! every cycle the clock advances lands in one ledger slot at the
+//! `Core::advance` choke point. Figure 9 projects the scalar core's
+//! ledger onto the model buckets (Cache, Mispred., Other,
+//! Intersection). Figure 10 rolls the stream engine's ledger up to
+//! `sc-probe`'s five attribution bins {SU compare, S-Cache refill,
+//! memory stall, translator, scalar overlap}, so the bins sum to the
+//! total modeled cycles *by construction* — asserted per run below, and
+//! covered by `sparsecore`'s `probe_attribution_conserves_engine_cycles`
+//! test.
 //!
 //! Expected shape (paper): mispredict dominates the CPU's
 //! intersection-heavy apps and nearly vanishes on SparseCore, whose
@@ -106,7 +108,7 @@ fn main() {
         }
         let cycles = b.finish();
         drop(sim);
-        let attr = *b.engine().attribution();
+        let attr = b.engine().attribution();
         assert_eq!(
             attr.total(),
             cycles,
@@ -138,8 +140,8 @@ fn main() {
 /// dynamically-scheduled cores with span logging and check, per core,
 /// that the five attribution bins sum to that core's simulated clock.
 /// (The scheduler re-asserts the same law internally from the engines'
-/// attribution registers; here it is re-proved from the span snapshots,
-/// which carry the bins at site granularity.)
+/// attribution; here it is re-proved from the span snapshots, which
+/// carry the same ledger at site granularity.)
 fn multicore_attribution(cli: &BenchCli, datasets: &[Dataset], cores: usize) {
     println!("\n# Multicore (dynamic): per-core cycle attribution conservation\n");
     let header: Vec<String> = ["graph/core".to_string()]

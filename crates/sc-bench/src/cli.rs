@@ -62,8 +62,8 @@ use std::time::Instant;
 use sc_graph::Dataset;
 use sc_host::flight::{self, Level};
 use sc_host::{AllocStats, Phase, PhaseTimers};
-use sc_probe::{Probe, ProbeLevel};
-use sc_report::{HostSection, RunRecord, ATTR_BINS};
+use sc_probe::{AttrBin, Probe, ProbeLevel};
+use sc_report::{HostSection, RunRecord};
 use sparsecore::SparseCoreConfig;
 
 /// Parsed cross-cutting flags plus the probe they configure. Construct
@@ -846,10 +846,10 @@ impl BenchCli {
         let metrics = sc_probe::json::parse(&self.probe.metrics_json())
             .expect("probe metrics snapshot is valid JSON");
         let mut attr = [0u64; 5];
-        for (slot, name) in attr.iter_mut().zip(ATTR_BINS) {
+        for (slot, bin) in attr.iter_mut().zip(AttrBin::ALL) {
             *slot = metrics
                 .get("attr")
-                .and_then(|a| a.get(name))
+                .and_then(|a| a.get(bin.name()))
                 .and_then(sc_probe::json::Value::as_f64)
                 .unwrap_or(0.0) as u64;
         }
@@ -1303,8 +1303,10 @@ mod tests {
 
         // Simulate an engine submitting one snapshot per workload.
         let mut log = sc_probe::SpanLog::new(8);
-        log.record(7, sc_probe::Site::Scalar, sc_probe::AttrBin::ScalarOverlap);
-        c.probe().submit_spans(0, log.snapshot(0));
+        log.record(7, sc_probe::Site::Scalar);
+        let mut totals = [0; sc_probe::Site::COUNT];
+        totals[sc_probe::Site::Scalar as usize] = 7;
+        c.probe().submit_spans(0, log.snapshot(0, totals));
         c.record("w1", None, 0, 7, None);
         let docs = c.pending_spans();
         assert_eq!(docs.len(), 1);

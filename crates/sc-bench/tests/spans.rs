@@ -17,7 +17,7 @@ use sc_graph::generators::uniform_graph;
 use sc_graph::Dataset;
 use sc_kernels::gustavson_multicore_probed;
 use sc_probe::spans::snapshots_to_json;
-use sc_probe::{AttrBin, Attribution, Probe, ProbeLevel, Site};
+use sc_probe::{AttrBin, Probe, ProbeLevel, Site};
 use sc_tensor::MatrixDataset;
 use sparsecore::{SchedMode, SparseCoreConfig};
 
@@ -25,10 +25,6 @@ fn spans_probe() -> Probe {
     let probe = Probe::new(ProbeLevel::Metrics);
     probe.enable_spans();
     probe
-}
-
-fn bins(attr: &Attribution) -> [u64; AttrBin::ALL.len()] {
-    AttrBin::ALL.map(|b| attr.get(b))
 }
 
 /// The span-site taxonomy is part of the observability contract: names
@@ -55,7 +51,7 @@ fn span_taxonomy_is_golden() {
         assert_eq!(Site::parse(name), Some(*site), "name no longer round-trips");
     }
     // Every attribution bin is refined by at least one site, so the
-    // grid can always reproduce the Figure 9/10 attribution.
+    // site totals can always reproduce the Figure 9/10 attribution.
     for bin in AttrBin::ALL {
         assert!(Site::ALL.iter().any(|s| s.bin() == bin), "no site refines {}", bin.name());
     }
@@ -79,7 +75,7 @@ fn dynamic_span_doc(g: &sc_graph::CsrGraph, plan: &Plan, cores: usize) -> String
         assert_eq!(
             snap.per_bin().iter().sum::<u64>(),
             run.per_core[snap.core],
-            "core {}: span grid must sum to the core's final clock",
+            "core {}: span totals must sum to the core's final clock",
             snap.core
         );
     }
@@ -154,7 +150,7 @@ fn critical_path_equals_final_clock_on_serial_gpm() {
         // Stride 1, so the measurement's cycles are the engine clock.
         assert_eq!(ex.makespan, m.cycles, "{app}/{}: critical path != final clock", d.tag());
         assert_eq!(ex.makespan, backend.engine().attribution().total());
-        assert_eq!(ex.per_bin(), bins(backend.engine().attribution()));
+        assert_eq!(ex.per_bin(), backend.engine().attribution().bins());
         assert_eq!(ex.critical_core, 0);
     }
 }
@@ -219,9 +215,9 @@ fn halved_scache_names_scache_refill_as_top_contributor() {
         let key = format!("fig08/{app}/{}", d.tag());
         let g = d.build();
         let (_, b) = run_sparsecore_backend(&g, app, SparseCoreConfig::paper(), 1, &Probe::off());
-        base.insert(key.clone(), bins(b.engine().attribution()));
+        base.insert(key.clone(), b.engine().attribution().bins());
         let (_, c) = run_sparsecore_backend(&g, app, small, 1, &Probe::off());
-        cand.insert(key, bins(c.engine().attribution()));
+        cand.insert(key, c.engine().attribution().bins());
     }
     let ranked = rank_attr_deltas(&base, &cand);
     assert!(!ranked.is_empty(), "halving the S-Cache changed no attribution at all");

@@ -4,10 +4,11 @@
 //! branch misprediction, "other computation", and "intersection" (cycles
 //! where the CPU — or a Stream Unit — is performing an intersection or
 //! subtraction). The workload tags intersection phases with a
-//! [`Region`]; the core routes compute cycles to the matching bucket.
+//! [`Region`]; the core charges compute cycles to the matching cause in
+//! its cycle ledger, and [`crate::Core::breakdown`] projects the ledger
+//! onto these buckets.
 
 use std::fmt;
-use std::ops::AddAssign;
 
 /// The attribution region for compute cycles.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -39,15 +40,6 @@ impl Breakdown {
         self.cache + self.mispredict + self.other_compute + self.intersection
     }
 
-    /// Add compute cycles attributed to `region`.
-    #[inline]
-    pub fn add_compute(&mut self, region: Region, cycles: u64) {
-        match region {
-            Region::Other => self.other_compute += cycles,
-            Region::Intersection => self.intersection += cycles,
-        }
-    }
-
     /// Fractions of the total per bucket, in the order
     /// (cache, mispredict, other, intersection). All zeros if empty.
     pub fn fractions(&self) -> [f64; 4] {
@@ -62,15 +54,6 @@ impl Breakdown {
             self.other_compute as f64 / t,
             self.intersection as f64 / t,
         ]
-    }
-}
-
-impl AddAssign for Breakdown {
-    fn add_assign(&mut self, rhs: Self) {
-        self.cache += rhs.cache;
-        self.mispredict += rhs.mispredict;
-        self.other_compute += rhs.other_compute;
-        self.intersection += rhs.intersection;
     }
 }
 
@@ -95,9 +78,7 @@ mod tests {
 
     #[test]
     fn totals_and_fractions() {
-        let mut b = Breakdown { cache: 25, mispredict: 25, ..Breakdown::default() };
-        b.add_compute(Region::Other, 25);
-        b.add_compute(Region::Intersection, 25);
+        let b = Breakdown { cache: 25, mispredict: 25, other_compute: 25, intersection: 25 };
         assert_eq!(b.total(), 100);
         assert_eq!(b.fractions(), [0.25; 4]);
     }
@@ -105,15 +86,6 @@ mod tests {
     #[test]
     fn empty_fractions_are_zero() {
         assert_eq!(Breakdown::default().fractions(), [0.0; 4]);
-    }
-
-    #[test]
-    fn add_assign_accumulates() {
-        let mut a = Breakdown { cache: 1, mispredict: 2, other_compute: 3, intersection: 4 };
-        let b = Breakdown { cache: 10, mispredict: 20, other_compute: 30, intersection: 40 };
-        a += b;
-        assert_eq!(a.total(), 110);
-        assert_eq!(a.intersection, 44);
     }
 
     #[test]

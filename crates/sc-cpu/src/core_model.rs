@@ -17,7 +17,7 @@
 use crate::breakdown::{Breakdown, Region};
 use crate::predictor::Gshare;
 use sc_mem::{Addr, Cycle, HierarchyConfig, MemoryHierarchy};
-use sc_probe::{AttrBin, Attribution, Probe, Site, SpanLog, SpanSnapshot};
+use sc_probe::{Attribution, Probe, Site, SpanLog, SpanSnapshot};
 use std::collections::VecDeque;
 
 /// Configuration of the core model (paper Table 2 plus standard OoO
@@ -80,11 +80,20 @@ pub struct CoreStats {
     pub stores: u64,
 }
 
+/// Cycle-ledger slots: one per [`Site`] (blocking stalls land at the
+/// current stall site, other compute at `Site::Scalar`), then the other
+/// two Figure 9 compute causes.
+const SETOP_COMPUTE: usize = Site::COUNT;
+const MISPREDICT: usize = Site::COUNT + 1;
+const CAUSES: usize = Site::COUNT + 2;
+
 /// The out-of-order core timing model.
 ///
 /// See the crate docs for the modeling philosophy. All methods advance the
-/// core's internal cycle count; [`Core::cycles`] reads it back and
-/// [`Core::breakdown`] splits it into the paper's Figure 9 buckets.
+/// core's internal cycle count; [`Core::cycles`] reads it back.
+/// [`Core::breakdown`] (the paper's Figure 9 buckets),
+/// [`Core::attribution`] (the five Figure 10 bins) and the span
+/// snapshot's per-site totals are projections of one cycle ledger.
 #[derive(Debug, Clone)]
 pub struct Core {
     config: CoreConfig,
@@ -94,42 +103,23 @@ pub struct Core {
     /// Completion times of outstanding (overlappable) loads.
     outstanding: VecDeque<Cycle>,
     region: Region,
-    breakdown: Breakdown,
     stats: CoreStats,
     /// Fractional issue-slot accumulator (ops not yet forming a full cycle).
     slack_uops: u64,
-    /// Cause-binned cycle attribution. Maintained unconditionally: every
-    /// clock advance flows through [`Core::advance`], so
-    /// `attr.total() == cycle` by construction (the conservation property
-    /// the probe layer's Figure 9/10 reporting relies on).
-    attr: Attribution,
-    /// The bin blocking stalls are charged to. The driving engine
-    /// switches this around waits whose cause it knows (SU completion,
-    /// S-Cache refill, translator); plain memory pressure is the default.
-    stall_ctx: AttrBin,
-    /// The dependency-edge site blocking stalls are logged under.
-    /// Follows [`Core::set_stall_ctx`] (each bin has a canonical site)
-    /// unless the engine refines it via [`Core::set_stall_site`].
+    /// Cycles per cause. Every clock advance flows through
+    /// [`Core::advance`] and lands in exactly one slot, so the ledger
+    /// sums to `cycle` by construction (the conservation property the
+    /// Figure 9/10 reporting relies on).
+    ledger: [Cycle; CAUSES],
+    /// The dependency-edge site blocking stalls are charged to. The
+    /// driving engine switches it around waits whose cause it knows (SU
+    /// completion, S-Cache refill, translator, drain); plain memory
+    /// pressure is the default.
     stall_site: Site,
     /// Simulated-clock span log, allocated only when the driving probe
     /// requested spans ([`Core::enable_span_log`]). `None` costs one
     /// null-pointer branch per clock advance.
     span_log: Option<Box<SpanLog>>,
-}
-
-/// Why the core clock advanced. Each advance lands in exactly one legacy
-/// [`Breakdown`] bucket and one [`AttrBin`].
-#[derive(Debug, Clone, Copy)]
-enum AdvanceKind {
-    /// Retiring micro-ops at the issue width (attributed to `region`).
-    Compute(Region),
-    /// Pipeline refill after a branch mispredict.
-    Mispredict,
-    /// A blocking stall: charged to [`Breakdown::cache`] and to the
-    /// current stall context bin.
-    Stall,
-    /// Stream-Unit busy time folded into the core clock.
-    Intersection,
 }
 
 impl Core {
@@ -142,31 +132,17 @@ impl Core {
             cycle: 0,
             outstanding: VecDeque::new(),
             region: Region::Other,
-            breakdown: Breakdown::default(),
             stats: CoreStats::default(),
             slack_uops: 0,
-            attr: Attribution::new(),
-            stall_ctx: AttrBin::MemStall,
+            ledger: [0; CAUSES],
             stall_site: Site::MemReady,
             span_log: None,
         }
     }
 
-    /// The canonical wait site for a stall bin, used when the engine sets
-    /// only the bin (see [`Core::set_stall_ctx`]).
-    fn default_site(bin: AttrBin) -> Site {
-        match bin {
-            AttrBin::SuCompare => Site::SuRetire,
-            AttrBin::ScacheRefill => Site::StreamSetup,
-            AttrBin::MemStall => Site::MemReady,
-            AttrBin::Translator => Site::Translator,
-            AttrBin::ScalarOverlap => Site::Scalar,
-        }
-    }
-
     /// Attach a probe handle (forwarded to the memory hierarchy; the
-    /// core's own attribution is always on and read back via
-    /// [`Core::attribution`]).
+    /// core's cycle ledger is always on and read back via
+    /// [`Core::breakdown`] and [`Core::attribution`]).
     pub fn set_probe(&mut self, probe: Probe) {
         self.mem.set_probe(probe);
     }
@@ -182,9 +158,16 @@ impl Core {
         self.cycle
     }
 
-    /// Cycle-accounting buckets.
-    pub fn breakdown(&self) -> &Breakdown {
-        &self.breakdown
+    /// The paper's Figure 9 buckets: every stall site is cache, the
+    /// three compute causes map one to one.
+    pub fn breakdown(&self) -> Breakdown {
+        let other_compute = self.ledger[Site::Scalar as usize];
+        Breakdown {
+            cache: self.ledger[..Site::COUNT].iter().sum::<Cycle>() - other_compute,
+            mispredict: self.ledger[MISPREDICT],
+            other_compute,
+            intersection: self.ledger[SETOP_COMPUTE],
+        }
     }
 
     /// Event counters.
@@ -214,38 +197,38 @@ impl Core {
         self.region
     }
 
+    /// Cycles per span site: the ledger with its three compute causes
+    /// folded into `Site::Scalar`.
+    fn site_totals(&self) -> [Cycle; Site::COUNT] {
+        let mut totals = [0; Site::COUNT];
+        totals.copy_from_slice(&self.ledger[..Site::COUNT]);
+        totals[Site::Scalar as usize] += self.ledger[SETOP_COMPUTE] + self.ledger[MISPREDICT];
+        totals
+    }
+
     /// Cause-binned cycle attribution (`total()` equals [`Core::cycles`]).
-    pub fn attribution(&self) -> &Attribution {
-        &self.attr
+    pub fn attribution(&self) -> Attribution {
+        Attribution::from_sites(&self.site_totals())
     }
 
-    /// Set the bin that blocking stalls are charged to; returns the
-    /// previous context so callers can restore it around a scoped wait.
-    /// The stall *site* follows to the bin's canonical site; use
-    /// [`Core::set_stall_site`] afterwards to refine it.
-    pub fn set_stall_ctx(&mut self, bin: AttrBin) -> AttrBin {
-        self.stall_site = Self::default_site(bin);
-        std::mem::replace(&mut self.stall_ctx, bin)
-    }
-
-    /// Refine the dependency-edge site for subsequent blocking stalls
-    /// (the bin stays as set by [`Core::set_stall_ctx`]); returns the
-    /// previous site.
+    /// Set the dependency-edge site that blocking stalls are charged to;
+    /// returns the previous site so callers can restore it around a
+    /// scoped wait.
     pub fn set_stall_site(&mut self, site: Site) -> Site {
         std::mem::replace(&mut self.stall_site, site)
     }
 
     /// Start keeping a span log with a `cap`-segment ring. If cycles have
-    /// already elapsed they are backfilled from the attribution bins (at
-    /// each bin's canonical site) so the log stays conserving:
-    /// `span cursor == cycles()` from here on.
+    /// already elapsed they are backfilled from the ledger, one segment
+    /// per site, so the log stays conserving: `span cursor == cycles()`
+    /// from here on.
     pub fn enable_span_log(&mut self, cap: usize) {
         if self.span_log.is_some() {
             return;
         }
         let mut log = Box::new(SpanLog::new(cap));
-        for bin in AttrBin::ALL {
-            log.record(self.attr.get(bin), Self::default_site(bin), bin);
+        for (site, cycles) in Site::ALL.into_iter().zip(self.site_totals()) {
+            log.record(cycles, site);
         }
         self.span_log = Some(log);
     }
@@ -258,33 +241,25 @@ impl Core {
     /// Snapshot the span log (`None` when spans were never enabled). The
     /// caller labels the core id when submitting to the probe.
     pub fn span_snapshot(&self) -> Option<SpanSnapshot> {
-        self.span_log.as_ref().map(|log| log.snapshot(0))
+        self.span_log.as_ref().map(|log| log.snapshot(0, self.site_totals()))
     }
 
+    /// Advance the clock by `cycles`, charged to ledger slot `cause`.
     #[inline]
-    fn advance(&mut self, cycles: Cycle, kind: AdvanceKind) {
+    fn advance(&mut self, cycles: Cycle, cause: usize) {
         self.cycle += cycles;
-        let (site, bin) = match kind {
-            AdvanceKind::Compute(region) => {
-                self.breakdown.add_compute(region, cycles);
-                (Site::Scalar, AttrBin::ScalarOverlap)
-            }
-            AdvanceKind::Mispredict => {
-                self.breakdown.mispredict += cycles;
-                (Site::Scalar, AttrBin::ScalarOverlap)
-            }
-            AdvanceKind::Stall => {
-                self.breakdown.cache += cycles;
-                (self.stall_site, self.stall_ctx)
-            }
-            AdvanceKind::Intersection => {
-                self.breakdown.intersection += cycles;
-                (Site::SuBusy, AttrBin::SuCompare)
-            }
-        };
-        self.attr.add(bin, cycles);
+        self.ledger[cause] += cycles;
         if let Some(log) = &mut self.span_log {
-            log.record(cycles, site, bin);
+            log.record(cycles, Site::ALL.get(cause).copied().unwrap_or(Site::Scalar));
+        }
+    }
+
+    /// The ledger slot compute cycles land in under the current region.
+    #[inline]
+    fn compute_cause(&self) -> usize {
+        match self.region {
+            Region::Other => Site::Scalar as usize,
+            Region::Intersection => SETOP_COMPUTE,
         }
     }
 
@@ -301,7 +276,7 @@ impl Core {
         }
         let cycles = total / width;
         self.slack_uops = total % width;
-        self.advance(cycles, AdvanceKind::Compute(self.region));
+        self.advance(cycles, self.compute_cause());
     }
 
     /// Issue `n` *serially dependent* micro-ops (a dependence chain): one
@@ -309,7 +284,7 @@ impl Core {
     #[inline]
     pub fn dependent_ops(&mut self, n: u64) {
         self.stats.uops += n;
-        self.advance(n, AdvanceKind::Compute(self.region));
+        self.advance(n, self.compute_cause());
     }
 
     /// Execute a conditional branch at `pc` whose real outcome was `taken`.
@@ -321,7 +296,7 @@ impl Core {
         if !self.predictor.predict_and_update(pc, taken) {
             self.stats.mispredicts += 1;
             let penalty = self.config.mispredict_penalty;
-            self.advance(penalty, AdvanceKind::Mispredict);
+            self.advance(penalty, MISPREDICT);
         }
     }
 
@@ -345,7 +320,7 @@ impl Core {
             let oldest = self.outstanding.pop_front().expect("non-empty queue");
             if oldest > self.cycle {
                 let stall = oldest - self.cycle;
-                self.advance(stall, AdvanceKind::Stall);
+                self.advance(stall, self.stall_site as usize);
             }
         }
         let result = self.mem.load(addr);
@@ -363,7 +338,7 @@ impl Core {
         let hidden = self.config.mem.l1.latency;
         if result.latency > hidden {
             let stall = result.latency - hidden;
-            self.advance(stall, AdvanceKind::Stall);
+            self.advance(stall, self.stall_site as usize);
         }
     }
 
@@ -375,24 +350,18 @@ impl Core {
         self.mem.store(addr);
     }
 
-    /// Stall the core for `cycles`, attributed to cache (used by the
+    /// Stall the core for `cycles` at the current stall site (used by the
     /// SparseCore engine when the core blocks on a stream result).
     pub fn stall_memory(&mut self, cycles: Cycle) {
-        self.advance(cycles, AdvanceKind::Stall);
+        self.advance(cycles, self.stall_site as usize);
     }
 
-    /// Add cycles spent busy in a Stream Unit set operation (used by the
-    /// SparseCore engine: Figure 10's "Intersection" bucket).
-    pub fn add_intersection_cycles(&mut self, cycles: Cycle) {
-        self.advance(cycles, AdvanceKind::Intersection);
-    }
-
-    /// Advance the core's clock to at least `t` without attributing cycles
-    /// to any bucket beyond cache stall (waiting on an event).
+    /// Advance the core's clock to at least `t`, charging the wait to the
+    /// current stall site (waiting on an event).
     pub fn wait_until(&mut self, t: Cycle) {
         if t > self.cycle {
             let stall = t - self.cycle;
-            self.advance(stall, AdvanceKind::Stall);
+            self.advance(stall, self.stall_site as usize);
         }
     }
 
@@ -405,6 +374,7 @@ impl Core {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sc_probe::AttrBin;
 
     #[test]
     fn ops_respect_issue_width() {
@@ -546,7 +516,8 @@ mod tests {
             core.load_use(i * 64);
             core.stall_memory(2);
         }
-        core.add_intersection_cycles(11);
+        core.set_region(Region::Intersection);
+        core.dependent_ops(11);
         core.wait_until(core.cycles() + 40);
         assert_eq!(core.attribution().total(), core.cycles());
         // Attribution and the legacy breakdown cover the same clock.
@@ -562,31 +533,43 @@ mod tests {
         // matches the clock from here on.
         core.enable_span_log(64);
         assert_eq!(core.span_log().unwrap().cursor(), core.cycles());
-        core.set_stall_ctx(AttrBin::ScacheRefill);
         core.set_stall_site(Site::ScacheFill);
         core.stall_memory(9);
-        core.add_intersection_cycles(4);
+        core.set_stall_site(Site::Drain);
+        core.stall_memory(4);
         let snap = core.span_snapshot().unwrap();
         assert_eq!(snap.total, core.cycles());
-        assert_eq!(snap.grid_total(), core.cycles());
+        assert_eq!(snap.totals_sum(), core.cycles());
         assert_eq!(snap.per_bin()[AttrBin::ScacheRefill.index()], 9);
-        assert_eq!(snap.totals[Site::ScacheFill as usize][AttrBin::ScacheRefill.index()], 9);
-        assert_eq!(snap.totals[Site::SuBusy as usize][AttrBin::SuCompare.index()], 4);
-        // Bins and the span grid agree exactly.
+        assert_eq!(snap.totals[Site::ScacheFill as usize], 9);
+        assert_eq!(snap.totals[Site::Drain as usize], 4);
+        // The backfill replays the ledger one segment per site.
+        let sites: Vec<(u64, u64, Site)> =
+            snap.segments.iter().map(|s| (s.start, s.end, s.site)).collect();
+        assert_eq!(
+            sites,
+            [
+                (0, 5, Site::Scalar),
+                (5, 12, Site::MemReady),
+                (12, 21, Site::ScacheFill),
+                (21, 25, Site::Drain)
+            ]
+        );
+        // Bins and the span totals agree exactly.
         for bin in AttrBin::ALL {
             assert_eq!(snap.per_bin()[bin.index()], core.attribution().get(bin), "{}", bin.name());
         }
     }
 
     #[test]
-    fn stall_ctx_routes_waits() {
+    fn stall_site_routes_waits() {
         let mut core = Core::new(CoreConfig::tiny());
-        let prev = core.set_stall_ctx(AttrBin::ScacheRefill);
-        assert_eq!(prev, AttrBin::MemStall);
+        let prev = core.set_stall_site(Site::ScacheFill);
+        assert_eq!(prev, Site::MemReady);
         core.stall_memory(30);
-        core.set_stall_ctx(AttrBin::Translator);
+        core.set_stall_site(Site::Translator);
         core.wait_until(core.cycles() + 12);
-        core.set_stall_ctx(prev);
+        core.set_stall_site(prev);
         core.stall_memory(5);
         assert_eq!(core.attribution().get(AttrBin::ScacheRefill), 30);
         assert_eq!(core.attribution().get(AttrBin::Translator), 12);

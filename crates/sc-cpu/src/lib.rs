@@ -10,8 +10,10 @@
 //! * [`Core`] — an event-driven timing core: the functional workload calls
 //!   [`Core::ops`], [`Core::branch`], [`Core::load`]/[`Core::load_use`],
 //!   and the core charges cycles with issue-width, load-queue-overlap and
-//!   mispredict-penalty effects, splitting them into the paper's
-//!   cycle-accounting buckets ([`Breakdown`]).
+//!   mispredict-penalty effects. Every cycle lands in one slot of the
+//!   core's cycle ledger, which projects onto the paper's
+//!   cycle-accounting buckets ([`Breakdown`]), the five attribution bins
+//!   and the span log's per-site totals.
 //!
 //! The design contract that keeps the reproduction honest: **every event
 //! charged corresponds to an operation the real computation performed** —

@@ -1,14 +1,15 @@
-//! Cycle-attribution profiler (the paper's Figure 9/10 breakdown, live).
+//! Cycle-attribution bins (the paper's Figure 9/10 breakdown, live).
 //!
-//! Every cycle the core timeline advances is binned into one of five
-//! causes while the simulation runs, instead of being reconstructed by
-//! bespoke accounting in the figure binaries. The invariant that makes
-//! the bins trustworthy is *conservation*: the per-bin totals sum to the
-//! total modeled cycles, because the accounting hook sits on the single
-//! choke point through which the core clock moves (see `sc-cpu`'s
-//! `Core::advance`).
+//! The core model keeps one cycle ledger (`sc_cpu::Core`): every clock
+//! advance adds its cycles to exactly one slot, keyed by the span
+//! [`Site`] the core was at. An [`Attribution`] is that ledger rolled up
+//! to five causes ([`Site::bin`]), so the bins are trustworthy by
+//! *conservation*: they sum to the total modeled cycles, because
+//! `Core::advance` is the single choke point through which the core
+//! clock moves.
 
 use crate::json;
+use crate::spans::Site;
 
 /// Where a retired cycle went. The five bins of the paper's stacked
 /// bars, generalized to the stream engine:
@@ -51,15 +52,9 @@ impl AttrBin {
         }
     }
 
-    /// Position in [`AttrBin::ALL`] (array index for per-bin grids).
+    /// Position in [`AttrBin::ALL`] (array index for per-bin arrays).
     pub fn index(self) -> usize {
-        match self {
-            AttrBin::SuCompare => 0,
-            AttrBin::ScacheRefill => 1,
-            AttrBin::MemStall => 2,
-            AttrBin::Translator => 3,
-            AttrBin::ScalarOverlap => 4,
-        }
+        self as usize
     }
 
     /// Parse a [`AttrBin::name`] back (span-log JSON round trip).
@@ -68,27 +63,32 @@ impl AttrBin {
     }
 }
 
-/// Accumulated cycles per attribution bin.
+/// Cycles per attribution bin: per-site cycle totals rolled up by
+/// [`Site::bin`] ([`Attribution::from_sites`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Attribution {
     bins: [u64; 5],
 }
 
 impl Attribution {
-    /// An empty attribution.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `cycles` to `bin`.
-    #[inline]
-    pub fn add(&mut self, bin: AttrBin, cycles: u64) {
-        self.bins[bin.index()] += cycles;
+    /// Roll per-site cycle totals (indexed by `Site as usize`) up to
+    /// their bins ([`Site::bin`]).
+    pub fn from_sites(totals: &[u64; Site::COUNT]) -> Self {
+        let mut bins = [0; 5];
+        for site in Site::ALL {
+            bins[site.bin().index()] += totals[site as usize];
+        }
+        Attribution { bins }
     }
 
     /// Cycles accumulated in `bin`.
     pub fn get(&self, bin: AttrBin) -> u64 {
         self.bins[bin.index()]
+    }
+
+    /// Cycles per bin, in [`AttrBin::ALL`] order.
+    pub fn bins(&self) -> [u64; 5] {
+        self.bins
     }
 
     /// Total cycles across all bins. Equal to the total modeled cycles
@@ -106,13 +106,6 @@ impl Attribution {
             return [0.0; 5];
         }
         self.bins.map(|b| b as f64 / t as f64)
-    }
-
-    /// Merge another attribution into this one (multi-core aggregation).
-    pub fn merge(&mut self, other: &Attribution) {
-        for (a, b) in self.bins.iter_mut().zip(other.bins) {
-            *a += b;
-        }
     }
 
     /// The attribution as a JSON object string.
@@ -148,12 +141,17 @@ impl std::fmt::Display for Attribution {
 mod tests {
     use super::*;
 
+    fn sites(cells: &[(Site, u64)]) -> Attribution {
+        let mut totals = [0; Site::COUNT];
+        for &(site, cycles) in cells {
+            totals[site as usize] += cycles;
+        }
+        Attribution::from_sites(&totals)
+    }
+
     #[test]
     fn conservation_of_total() {
-        let mut a = Attribution::new();
-        a.add(AttrBin::SuCompare, 10);
-        a.add(AttrBin::MemStall, 20);
-        a.add(AttrBin::ScalarOverlap, 70);
+        let a = sites(&[(Site::SuBusy, 10), (Site::MemReady, 20), (Site::Scalar, 70)]);
         assert_eq!(a.total(), 100);
         let fr = a.fractions();
         assert!((fr.iter().sum::<f64>() - 1.0).abs() < 1e-12);
@@ -161,21 +159,22 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_bins() {
-        let mut a = Attribution::new();
-        a.add(AttrBin::Translator, 5);
-        let mut b = Attribution::new();
-        b.add(AttrBin::Translator, 7);
-        b.add(AttrBin::ScacheRefill, 3);
-        a.merge(&b);
-        assert_eq!(a.get(AttrBin::Translator), 12);
-        assert_eq!(a.total(), 15);
+    fn sites_roll_up_to_their_bins() {
+        let a = sites(&[
+            (Site::SuRetire, 1),
+            (Site::Drain, 2),
+            (Site::ChunkClaim, 4),
+            (Site::StreamSetup, 8),
+            (Site::ScacheFill, 16),
+            (Site::Translator, 32),
+        ]);
+        assert_eq!(a.bins(), [7, 24, 0, 32, 0]);
+        assert_eq!(a.get(AttrBin::Translator), 32);
     }
 
     #[test]
     fn json_has_all_bins() {
-        let mut a = Attribution::new();
-        a.add(AttrBin::ScacheRefill, 9);
+        let a = sites(&[(Site::StreamSetup, 9)]);
         let j = crate::json::parse(&a.to_json()).unwrap();
         for bin in AttrBin::ALL {
             assert!(j.get(bin.name()).is_some(), "missing {}", bin.name());
@@ -185,9 +184,17 @@ mod tests {
 
     #[test]
     fn display_mentions_every_bin() {
-        let s = Attribution::new().to_string();
+        let s = Attribution::default().to_string();
         for bin in AttrBin::ALL {
             assert!(s.contains(bin.name()));
+        }
+    }
+
+    #[test]
+    fn index_follows_reporting_order() {
+        for (i, bin) in AttrBin::ALL.into_iter().enumerate() {
+            assert_eq!(bin.index(), i);
+            assert_eq!(AttrBin::parse(bin.name()), Some(bin));
         }
     }
 }

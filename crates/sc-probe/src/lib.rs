@@ -1,22 +1,24 @@
 //! # sc-probe — observability for the SparseCore reproduction
 //!
 //! A zero-cost-when-disabled structured event/metrics layer threaded
-//! through the simulator. Three faces:
+//! through the simulator. Four faces:
 //!
 //! * a **metrics registry** ([`metrics::Registry`]) — hierarchical named
 //!   counters/gauges/histograms, snapshotable to JSON mid-run;
 //! * an **event tracer** ([`trace::Tracer`]) — sim-cycle-timestamped
 //!   spans and instants exported as Chrome `trace_event` JSON for
 //!   Perfetto;
-//! * a **cycle-attribution profiler** ([`attr::Attribution`]) — every
-//!   modeled cycle binned into one of five causes, reproducing the
-//!   paper's Figure 9/10 from live probe data.
+//! * the **cycle-ledger vocabulary**: the span [`Site`]s that key
+//!   `sc_cpu::Core`'s one per-cause cycle ledger, and the five-bin
+//!   [`attr::Attribution`] each site rolls up to ([`Site::bin`]),
+//!   reproducing the paper's Figure 9/10 from live data;
+//! * a **span log** ([`SpanLog`]) — the ordered `[start, end)` segments
+//!   of that ledger, snapshotted per core for `sc-explain` and the HTML
+//!   timeline.
 //!
 //! The shared entry point is the cheap, cloneable [`Probe`] handle. A
 //! disabled probe (`Probe::off()`, the default everywhere) holds no
-//! buffer and every call is a single predictable branch; compiling the
-//! crate with `--no-default-features` (dropping the `probe` feature)
-//! removes even that branch by turning the whole API into no-ops.
+//! buffer and every call is a single predictable branch.
 
 pub mod attr;
 pub mod check;
@@ -29,7 +31,6 @@ pub use attr::{AttrBin, Attribution};
 pub use spans::{Site, SpanLog, SpanSnapshot};
 pub use trace::Track;
 
-#[cfg(feature = "probe")]
 use std::sync::{Arc, Mutex};
 
 /// How much the probe records.
@@ -69,7 +70,6 @@ impl ProbeLevel {
     }
 }
 
-#[cfg(feature = "probe")]
 #[derive(Debug, Default)]
 struct ProbeInner {
     now: u64,
@@ -87,14 +87,12 @@ struct ProbeInner {
 /// multicore sweeps can either share one probe or give each simulated
 /// core its own and merge afterwards ([`trace::merge_trace_json`],
 /// [`metrics::Registry::merge`]).
-#[cfg(feature = "probe")]
 #[derive(Debug, Clone, Default)]
 pub struct Probe {
     level: ProbeLevel,
     inner: Option<Arc<Mutex<ProbeInner>>>,
 }
 
-#[cfg(feature = "probe")]
 impl Probe {
     /// The disabled probe: no buffer, every call a single branch.
     pub fn off() -> Self {
@@ -374,82 +372,7 @@ impl Probe {
     }
 }
 
-/// The compiled-out probe: same API, every method a no-op, so
-/// instrumented crates build unchanged with `--no-default-features`.
-#[cfg(not(feature = "probe"))]
-#[derive(Debug, Clone, Default)]
-pub struct Probe;
-
-#[cfg(not(feature = "probe"))]
-impl Probe {
-    pub fn off() -> Self {
-        Self
-    }
-    pub fn new(_level: ProbeLevel) -> Self {
-        Self
-    }
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        false
-    }
-    #[inline]
-    pub fn tracing(&self) -> bool {
-        false
-    }
-    pub fn level(&self) -> ProbeLevel {
-        ProbeLevel::Off
-    }
-    #[inline]
-    pub fn set_now(&self, _cycle: u64) {}
-    pub fn now(&self) -> u64 {
-        0
-    }
-    #[inline]
-    pub fn count(&self, _name: &str, _delta: u64) {}
-    #[inline]
-    pub fn gauge(&self, _name: &str, _value: f64) {}
-    #[inline]
-    pub fn observe(&self, _name: &str, _value: u64) {}
-    #[inline]
-    pub fn span(
-        &self,
-        _track: Track,
-        _name: &str,
-        _start: u64,
-        _end: u64,
-        _args: &[(&'static str, u64)],
-    ) {
-    }
-    #[inline]
-    pub fn instant_at(&self, _track: Track, _name: &str, _ts: u64, _args: &[(&'static str, u64)]) {}
-    #[inline]
-    pub fn instant(&self, _track: Track, _name: &str, _args: &[(&'static str, u64)]) {}
-    pub fn with_registry(&self, _f: impl FnOnce(&mut metrics::Registry)) {}
-    pub fn counter(&self, _name: &str) -> u64 {
-        0
-    }
-    pub fn metrics_json(&self) -> String {
-        "{}".into()
-    }
-    pub fn trace_json(&self, pid: u64) -> String {
-        trace::Tracer::new().to_json(pid)
-    }
-    pub fn trace_len(&self) -> usize {
-        0
-    }
-    pub fn enable_spans(&self) {}
-    #[inline]
-    pub fn spans_on(&self) -> bool {
-        false
-    }
-    pub fn submit_spans(&self, _core: usize, _snap: SpanSnapshot) {}
-    pub fn take_spans(&self) -> Vec<SpanSnapshot> {
-        Vec::new()
-    }
-    pub fn absorb(&self, _other: &Probe) {}
-}
-
-#[cfg(all(test, feature = "probe"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -503,8 +426,10 @@ mod tests {
         p.enable_spans();
         assert!(p.spans_on());
         let mut log = SpanLog::new(4);
-        log.record(3, Site::Scalar, AttrBin::ScalarOverlap);
-        p.submit_spans(1, log.snapshot(0));
+        log.record(3, Site::Scalar);
+        let mut totals = [0; Site::COUNT];
+        totals[Site::Scalar as usize] = 3;
+        p.submit_spans(1, log.snapshot(0, totals));
         let drained = p.take_spans();
         assert_eq!(drained.len(), 1);
         assert_eq!(drained[0].core, 1, "submit relabels the core");
@@ -513,7 +438,7 @@ mod tests {
         let off = Probe::off();
         off.enable_spans();
         assert!(!off.spans_on());
-        off.submit_spans(0, log.snapshot(0));
+        off.submit_spans(0, log.snapshot(0, totals));
         assert!(off.take_spans().is_empty());
     }
 
@@ -529,9 +454,11 @@ mod tests {
         worker.gauge("attr.total", 2.0);
         worker.span(Track::Engine, "s", 0, 120, &[]);
         let mut log = SpanLog::new(4);
-        log.record(3, Site::Scalar, AttrBin::ScalarOverlap);
+        log.record(3, Site::Scalar);
+        let mut totals = [0; Site::COUNT];
+        totals[Site::Scalar as usize] = 3;
         worker.enable_spans();
-        worker.submit_spans(0, log.snapshot(0));
+        worker.submit_spans(0, log.snapshot(0, totals));
 
         parent.absorb(&worker);
         assert_eq!(parent.counter("engine.reads"), 15, "counters add");

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 pub struct Histogram {
     /// Number of samples.
     pub count: u64,
-    /// Sum of all samples.
+    /// Sum of all samples (saturates at `u64::MAX`).
     pub sum: u64,
     /// Smallest sample (0 when empty).
     pub min: u64,
@@ -40,7 +40,7 @@ impl Histogram {
         }
         self.max = self.max.max(v);
         self.count += 1;
-        self.sum += v;
+        self.sum = self.sum.saturating_add(v);
         let idx = if v == 0 { 0 } else { 64 - v.leading_zeros() as usize };
         self.buckets[idx] += 1;
     }
@@ -55,8 +55,9 @@ impl Histogram {
     }
 
     /// Approximate `q`-quantile from the bucket boundaries: the upper
-    /// bound of the bucket holding the `q`-th sample. Exact for
-    /// distributions that fit a single bucket; within 2x otherwise.
+    /// bound of the bucket holding the `q`-th sample, clamped to
+    /// `[min, max]`. Exact for distributions that fit a single bucket;
+    /// within 2x otherwise.
     pub fn quantile(&self, q: f64) -> Option<u64> {
         if self.count == 0 {
             return None;
@@ -66,7 +67,8 @@ impl Histogram {
         for (i, &b) in self.buckets.iter().enumerate() {
             seen += b;
             if seen > rank {
-                return Some(if i == 0 { 0 } else { (1u64 << (i - 1)).saturating_mul(2) - 1 });
+                let upper = if i == 0 { 0 } else { (1u64 << (i - 1)).saturating_mul(2) - 1 };
+                return Some(upper.clamp(self.min, self.max));
             }
         }
         Some(self.max)
@@ -145,7 +147,7 @@ impl Registry {
         for (k, h) in &other.histograms {
             let e = self.histograms.entry(k.clone()).or_default();
             e.count += h.count;
-            e.sum += h.sum;
+            e.sum = e.sum.saturating_add(h.sum);
             e.min = if e.count == h.count { h.min } else { e.min.min(h.min) };
             e.max = e.max.max(h.max);
             for (a, b) in e.buckets.iter_mut().zip(h.buckets) {
@@ -281,6 +283,45 @@ mod tests {
         assert!((h.mean() - 21.0).abs() < 1e-12);
         assert_eq!(h.quantile(0.0), Some(0));
         assert!(h.quantile(1.0).unwrap() >= 100);
+    }
+
+    #[test]
+    fn quantiles_stay_within_min_and_max() {
+        // One repeated sample: every quantile is that sample, not the
+        // upper bound of its power-of-two bucket (262_143 here).
+        let mut h = Histogram::default();
+        for _ in 0..3 {
+            h.observe(219_466);
+        }
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(h.quantile(q), Some(219_466), "q={q}");
+        }
+        // Spread samples: each quantile lies in [min, max].
+        let mut h = Histogram::default();
+        for v in [5u64, 6, 7, 100] {
+            h.observe(v);
+        }
+        for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
+            let v = h.quantile(q).unwrap();
+            assert!((h.min..=h.max).contains(&v), "q={q}: {v} outside [{}, {}]", h.min, h.max);
+        }
+        assert_eq!(h.quantile(1.0), Some(100));
+    }
+
+    #[test]
+    fn histogram_sum_saturates_instead_of_wrapping() {
+        let mut h = Histogram::default();
+        h.observe(u64::MAX - 1);
+        h.observe(10);
+        assert_eq!(h.sum, u64::MAX, "observe saturates");
+        let mut a = Registry::new();
+        a.observe("h", u64::MAX);
+        let mut b = Registry::new();
+        b.observe("h", u64::MAX);
+        a.merge(&b);
+        let merged = a.histogram("h").unwrap();
+        assert_eq!(merged.sum, u64::MAX, "merge saturates");
+        assert_eq!(merged.count, 2);
     }
 
     #[test]

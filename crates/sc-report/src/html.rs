@@ -22,13 +22,13 @@ use std::fmt::Write as _;
 
 use sc_probe::json::{self, Value};
 use sc_probe::spans::snapshots_from_json;
-use sc_probe::{Site, SpanSnapshot};
+use sc_probe::{AttrBin, Site, SpanSnapshot};
 
-use crate::record::{RunRecord, ATTR_BINS};
+use crate::record::RunRecord;
 use crate::scoreboard::FigureScore;
 use crate::trend::TrendPoint;
 
-/// Bin colors, in [`ATTR_BINS`] order (colorblind-safe-ish palette).
+/// Bin colors, in [`AttrBin::ALL`] order (colorblind-safe-ish palette).
 const BIN_COLORS: [&str; 5] = ["#4477aa", "#66ccee", "#ee6677", "#ccbb44", "#aa3377"];
 
 /// Site colors, in [`Site::ALL`] order.
@@ -261,7 +261,7 @@ fn treemap_section(out: &mut String, records: &[RunRecord]) {
 <p class=meta>one tile per workload, width ∝ modeled cycles; each tile stacks its five \
 attribution bins</p>\n",
     );
-    legend(out, &ATTR_BINS, &BIN_COLORS);
+    legend(out, &AttrBin::ALL.map(AttrBin::name), &BIN_COLORS);
     // Last record per key wins, matching the regression gate.
     let mut by_key: BTreeMap<String, &RunRecord> = BTreeMap::new();
     for r in records {
@@ -285,16 +285,17 @@ attribution bins</p>\n",
             r.cycles,
             esc(key)
         );
-        for (i, (&cycles, name)) in r.attr.iter().zip(ATTR_BINS).enumerate() {
+        for (i, (&cycles, bin)) in r.attr.iter().zip(AttrBin::ALL).enumerate() {
             if cycles == 0 {
                 continue;
             }
             let pct = cycles as f64 * 100.0 / total as f64;
             let _ = write!(
                 out,
-                "<i style=\"flex:{pct:.2};background:{}\" title=\"{name}: {cycles} cycles \
+                "<i style=\"flex:{pct:.2};background:{}\" title=\"{}: {cycles} cycles \
                  ({pct:.1}%)\"></i>",
-                BIN_COLORS[i]
+                BIN_COLORS[i],
+                bin.name()
             );
         }
         out.push_str("</span></div>\n");
@@ -367,7 +368,7 @@ grey is end-of-run idle at the multicore barrier</p>\n",
                     seg.start,
                     seg.end,
                     seg.site.name(),
-                    seg.bin.name()
+                    seg.site.bin().name()
                 );
             }
         }
@@ -455,7 +456,7 @@ fn trend_section(out: &mut String, trend: &[TrendPoint]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sc_probe::{AttrBin, SpanLog};
+    use sc_probe::SpanLog;
 
     fn record(bench: &str, workload: &str, attr: [u64; 5]) -> RunRecord {
         RunRecord {
@@ -473,11 +474,20 @@ mod tests {
         }
     }
 
+    /// Record `cells` into a `cap`-segment log and snapshot it with the
+    /// per-site totals the core's ledger would hold.
+    fn snap_of(cap: usize, cells: &[(u64, Site)]) -> SpanSnapshot {
+        let mut log = SpanLog::new(cap);
+        let mut totals = [0; Site::COUNT];
+        for &(cycles, site) in cells {
+            log.record(cycles, site);
+            totals[site as usize] += cycles;
+        }
+        log.snapshot(0, totals)
+    }
+
     fn spans_doc() -> Vec<(String, Vec<SpanSnapshot>)> {
-        let mut log = SpanLog::new(16);
-        log.record(30, Site::Scalar, AttrBin::ScalarOverlap);
-        log.record(20, Site::MemReady, AttrBin::MemStall);
-        let mut snap = log.snapshot(0);
+        let mut snap = snap_of(16, &[(30, Site::Scalar), (20, Site::MemReady)]);
         snap.pad_idle(60);
         vec![("TC/C".into(), vec![snap])]
     }
@@ -536,11 +546,7 @@ mod tests {
         assert!(!html.contains("url(#drop)"), "intact ring must not hatch");
         // ...but once the ring drops segments, the unrecorded prefix is
         // hatched and labelled so the gap reads as truncation, not idle.
-        let mut log = SpanLog::new(2);
-        log.record(3, Site::Scalar, AttrBin::ScalarOverlap);
-        log.record(4, Site::MemReady, AttrBin::MemStall);
-        log.record(5, Site::SuBusy, AttrBin::SuCompare);
-        let snap = log.snapshot(0);
+        let snap = snap_of(2, &[(3, Site::Scalar), (4, Site::MemReady), (5, Site::SuBusy)]);
         assert!(snap.dropped > 0);
         let spans = vec![("TC/overflow".into(), vec![snap])];
         let html = render(&Dashboard { spans, ..Dashboard::default() });

@@ -20,15 +20,11 @@ use std::path::Path;
 
 use sc_host::Phase;
 use sc_probe::json::{self, Value};
+use sc_probe::AttrBin;
 
 /// Version of the record schema. Bump when a field is added, removed or
 /// reinterpreted; readers reject records from other major versions.
 pub const SCHEMA_VERSION: u64 = 1;
-
-/// Names of the five cycle-attribution bins, in storage order (mirrors
-/// `sc_probe::AttrBin::ALL` without needing the enum itself).
-pub const ATTR_BINS: [&str; 5] =
-    ["su_compare", "scache_refill", "mem_stall", "translator", "scalar_overlap"];
 
 /// One workload's worth of bench output.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,7 +50,7 @@ pub struct RunRecord {
     /// Host wall-clock spent producing this record, in milliseconds.
     /// Noisy; compared via median-of-N with a tolerance band.
     pub wall_ms: f64,
-    /// The 5-bin cycle-attribution profile, in [`ATTR_BINS`] order. All
+    /// The 5-bin cycle-attribution profile, in [`AttrBin::ALL`] order. All
     /// zeros when the workload did not run through the attribution hook.
     pub attr: [u64; 5],
     /// The sc-probe metrics snapshot at record time (counters accumulate
@@ -200,11 +196,11 @@ impl RunRecord {
         json::write_f64(&mut out, self.wall_ms);
         field(&mut out, "attr");
         out.push('{');
-        for (i, name) in ATTR_BINS.iter().enumerate() {
+        for (i, bin) in AttrBin::ALL.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            json::write_str(&mut out, name);
+            json::write_str(&mut out, bin.name());
             let _ = write!(out, ":{}", self.attr[i]);
         }
         out.push('}');
@@ -232,8 +228,9 @@ impl RunRecord {
         }
         let attr_v = v.get("attr").ok_or("record missing 'attr'")?;
         let mut attr = [0u64; 5];
-        for (i, name) in ATTR_BINS.iter().enumerate() {
-            attr[i] = attr_v
+        for (slot, bin) in attr.iter_mut().zip(AttrBin::ALL) {
+            let name = bin.name();
+            *slot = attr_v
                 .get(name)
                 .and_then(Value::as_f64)
                 .ok_or(format!("attr missing numeric '{name}'"))? as u64;

@@ -8,7 +8,8 @@
 //! [`RunRecord::key`] (bench + workload + config digest), never by git
 //! SHA: comparing across commits is the point.
 
-use crate::record::{group_by_key, RunRecord, ATTR_BINS};
+use crate::record::{group_by_key, RunRecord};
+use sc_probe::AttrBin;
 
 /// Knobs for [`compare`].
 #[derive(Debug, Clone, Copy)]
@@ -180,11 +181,11 @@ pub fn compare(baseline: &[RunRecord], candidate: &[RunRecord], opts: CompareOpt
             );
         }
         if ce.attr != be.attr {
-            let diffs: Vec<String> = ATTR_BINS
+            let diffs: Vec<String> = AttrBin::ALL
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| be.attr[*i] != ce.attr[*i])
-                .map(|(i, n)| format!("{n} {} -> {}", be.attr[i], ce.attr[i]))
+                .map(|(i, b)| format!("{} {} -> {}", b.name(), be.attr[i], ce.attr[i]))
                 .collect();
             push(key, Severity::Fail, format!("cycle attribution changed: {}", diffs.join(", ")));
         }

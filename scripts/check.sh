@@ -11,9 +11,6 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo test -q"
-cargo test -q
-
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
