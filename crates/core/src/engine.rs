@@ -21,14 +21,13 @@
 
 use crate::config::SparseCoreConfig;
 use crate::sanitize::{audit_code, Sanitizer};
-use crate::setops;
 use crate::smt::{Smt, SregIdx};
 use crate::stats::EngineStats;
-use crate::su::{simulate, SuOp, SuTiming};
+use crate::su::{self, simulate, Out, SuOp, SuTiming};
 use sc_cpu::Core;
 use sc_isa::{Bound, GfrSet, Key, Priority, StreamException, StreamId, Value, ValueOp, EOS};
 use sc_lint::{Diagnostic, LintCode};
-use sc_mem::{Scratchpad, StreamCacheStorage};
+use sc_mem::{Addr, Scratchpad, StreamCacheStorage};
 use sc_probe::{AttrBin, Probe, Site, Track};
 use std::collections::VecDeque;
 
@@ -36,9 +35,10 @@ use std::collections::VecDeque;
 type Cycle = u64;
 
 /// Where a stream's keys come from (drives the supply-rate model).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum StreamSource {
     /// Initialized by `S_READ`/`S_VREAD` from memory through the S-Cache.
+    #[default]
     Memory,
     /// Resident in the scratchpad (stream reuse hit).
     Scratchpad,
@@ -46,11 +46,16 @@ enum StreamSource {
     Output,
 }
 
-/// Functional payload of a stream register.
-#[derive(Debug, Clone)]
+/// Functional payload of a stream register. The register owns its key
+/// and value buffers: a freed register keeps them (cleared) for the next
+/// stream it holds, so steady-state execution allocates nothing.
+#[derive(Debug, Clone, Default)]
 struct StreamPayload {
+    /// Does the register hold a live stream?
+    live: bool,
     keys: Vec<Key>,
-    vals: Option<Vec<Value>>,
+    /// Empty unless the stream carries values (its SMT `val_addr` is set).
+    vals: Vec<Value>,
     source: StreamSource,
     /// Lines already charged for this stream's prefetch (first window).
     lines_fetched: u64,
@@ -105,29 +110,6 @@ impl NestedSource for SliceNestedSource {
     }
 }
 
-/// Are the keys a dense run of consecutive integers (a dense vector
-/// viewed as a stream)?
-fn is_dense(keys: &[Key]) -> bool {
-    keys.len() > 1 && keys.iter().enumerate().all(|(i, &k)| k == keys[0].wrapping_add(i as Key))
-}
-
-/// SU timing for sparse x dense: one seek + compare per sparse element
-/// (the dense side consumes one window per match instead of scanning).
-fn seek_timing(sparse: &[Key], dense: &[Key]) -> SuTiming {
-    let lo = dense[0];
-    let hi = dense[0] + dense.len() as Key;
-    let matches = sparse.iter().filter(|&&k| k >= lo && k < hi).count() as u64;
-    SuTiming {
-        // One cycle per sparse element (seek + compare) plus the match
-        // emission.
-        compare_cycles: sparse.len() as u64 + matches,
-        consumed_a: sparse.len() as u64,
-        // One 16-key window of the dense stream per sparse element.
-        consumed_b: (sparse.len() as u64) * 16,
-        produced: matches,
-    }
-}
-
 /// The SparseCore engine. See the module docs for the execution model.
 #[derive(Debug)]
 pub struct Engine {
@@ -139,7 +121,17 @@ pub struct Engine {
     /// Per-SU next-free time.
     su_free_at: Vec<Cycle>,
     /// Functional payloads, indexed by stream register.
-    data: Vec<Option<StreamPayload>>,
+    data: Vec<StreamPayload>,
+    /// Scratch buffers a producing instruction writes its output into;
+    /// they trade places with the output register's own buffers.
+    out_keys: Vec<Key>,
+    out_vals: Vec<Value>,
+    /// `S_VINTER`'s matched positions, kept for the value loads.
+    pairs: Vec<(u64, u64)>,
+    /// Line addresses of the current S-Cache refill.
+    lines: Vec<Addr>,
+    /// Completion times of `S_NESTINTER`'s in-flight steps.
+    inflight: VecDeque<Cycle>,
     gfr: GfrSet,
     /// Bump allocator for output-stream key addresses.
     out_alloc: u64,
@@ -179,7 +171,7 @@ struct SpilledStream {
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     smt: Smt,
-    data: Vec<Option<StreamPayload>>,
+    data: Vec<StreamPayload>,
     scache: StreamCacheStorage,
     gfr: GfrSet,
     out_alloc: u64,
@@ -207,7 +199,12 @@ impl Engine {
             scache,
             scratchpad: Scratchpad::new(cfg.scratchpad),
             su_free_at: vec![0; cfg.num_sus],
-            data: (0..nregs).map(|_| None).collect(),
+            data: vec![StreamPayload::default(); nregs],
+            out_keys: Vec::new(),
+            out_vals: Vec::new(),
+            pairs: Vec::new(),
+            lines: Vec::new(),
+            inflight: VecDeque::new(),
             gfr: GfrSet::default(),
             out_alloc: 0xC000_0000,
             stats: EngineStats::default(),
@@ -420,7 +417,7 @@ impl Engine {
             sp.ready_at,
         )?;
         self.scache.bind(idx, sp.key_addr, sp.payload.keys.len());
-        self.data[idx] = Some(sp.payload);
+        self.data[idx] = sp.payload;
         Ok(())
     }
 
@@ -436,7 +433,7 @@ impl Engine {
         let reg = self.smt.reg(idx);
         let (key_addr, val_addr, priority, ready_at) =
             (reg.key_addr, reg.val_addr, reg.priority, reg.ready_at);
-        let payload = self.data[idx].take().expect("active stream has payload");
+        let payload = std::mem::take(&mut self.data[idx]);
         // Spill traffic: SMT entry store to the virtualization region.
         let spill_addr = 0xB000_0000 + u64::from(victim.raw()) * 64;
         if let Some(san) = &mut self.san {
@@ -519,8 +516,8 @@ impl Engine {
     /// `S_READ`: initialize a key stream from memory.
     ///
     /// `key_addr` is the simulated byte address of `keys[0]`; `keys` is the
-    /// actual (sorted) content, which the engine copies for functional
-    /// execution.
+    /// actual (sorted, distinct) content, which the engine copies into the
+    /// stream register's own buffer for functional execution.
     ///
     /// # Errors
     ///
@@ -600,7 +597,7 @@ impl Engine {
         let new_hi = key_addr + keys.len() as u64 * 4;
         let mut overlap_ready = 0u64;
         for (ridx, reg) in self.smt.active_regs() {
-            if self.data[ridx].as_ref().is_some_and(|p| p.source == StreamSource::Output) {
+            if self.data[ridx].source == StreamSource::Output {
                 let lo = reg.key_addr;
                 let hi = reg.key_addr + u64::from(reg.len) * 4;
                 if new_lo < hi && lo < new_hi {
@@ -609,16 +606,12 @@ impl Engine {
             }
         }
 
-        self.trace_instr(|| match val_addr {
-            None => sc_isa::Instr::SRead { key_addr, len: keys.len() as u32, sid, priority },
-            Some(va) => sc_isa::Instr::SVRead {
-                key_addr,
-                len: keys.len() as u32,
-                sid,
-                val_addr: va,
-                priority,
-            },
-        });
+        let len = keys.len() as u32;
+        let instr = match val_addr {
+            None => sc_isa::Instr::SRead { key_addr, len, sid, priority },
+            Some(val_addr) => sc_isa::Instr::SVRead { key_addr, len, sid, val_addr, priority },
+        };
+        self.trace_instr(|| instr);
         let idx = match self.smt.define(sid, key_addr, val_addr, keys.len() as u32, priority, 0) {
             Ok(idx) => idx,
             Err(StreamException::OutOfStreamRegisters) if self.virtualize => {
@@ -634,33 +627,20 @@ impl Engine {
 
         let (ready_at, lines_fetched) = if source == StreamSource::Memory {
             // Prefetch the first window (S_READ triggers the fetch).
-            let lines = self.scache.refill_window(idx, 0);
-            let mut warmup = 0;
-            for a in &lines {
-                warmup = warmup.max(self.core.mem_mut().load_bypassing_l1(*a).latency);
-            }
-            (self.core.cycles() + warmup, lines.len() as u64)
+            let (warmup, lines) = self.refill(idx, 0);
+            (self.core.cycles() + warmup, lines)
         } else {
             (ready_at, lines_fetched)
         };
         self.smt.get_mut(sid)?.ready_at = ready_at.max(overlap_ready);
 
-        self.data[idx] = Some(StreamPayload {
-            keys: keys.to_vec(),
-            vals: vals.map(<[f64]>::to_vec),
-            source,
-            lines_fetched,
-        });
-        if self.probe.tracing() {
-            let name = if val_addr.is_some() { "S_VREAD" } else { "S_READ" };
-            self.probe.span(
-                Track::Engine,
-                name,
-                t0,
-                self.core.cycles(),
-                &[("sid", u64::from(sid.raw())), ("len", keys.len() as u64)],
-            );
-        }
+        let p = &mut self.data[idx];
+        p.keys.clear();
+        p.keys.extend_from_slice(keys);
+        p.vals.clear();
+        p.vals.extend_from_slice(vals.unwrap_or(&[]));
+        (p.live, p.source, p.lines_fetched) = (true, source, lines_fetched);
+        self.span(instr.mnemonic(), t0, &[("sid", u64::from(sid.raw())), ("len", len.into())]);
         Ok(())
     }
 
@@ -705,7 +685,7 @@ impl Engine {
         // register must still hold its functional payload; a missing
         // payload means some path already tore the stream down.
         if let Some(san) = &mut self.san {
-            if self.data[idx].is_none() {
+            if !self.data[idx].live {
                 san.record(
                     Diagnostic::sanitizer(
                         LintCode::SanDoubleFree,
@@ -720,7 +700,10 @@ impl Engine {
             }
         }
         self.scache.release(idx);
-        self.data[idx] = None;
+        let p = &mut self.data[idx];
+        p.live = false;
+        p.keys.clear();
+        p.vals.clear();
         Ok(())
     }
 
@@ -752,27 +735,18 @@ impl Engine {
         // A fetch that blocks on an output stream is waiting for the
         // producing SU's comparisons; blocking on a memory-sourced stream
         // is waiting for its first S-Cache window (stream setup).
-        let wait_site = if self.data[idx].as_ref().is_some_and(|p| p.source == StreamSource::Output)
-        {
+        let wait_site = if self.data[idx].source == StreamSource::Output {
             Site::SuRetire
         } else {
             Site::StreamSetup
         };
         let prev = self.core.set_stall_site(wait_site);
         self.core.wait_until(ready);
-        let key = {
-            let payload = self.data[idx].as_ref().expect("mapped stream has payload");
-            payload.keys.get(offset as usize).copied()
-        };
-        let out = match key {
+        let out = match self.data[idx].keys.get(offset as usize).copied() {
             Some(k) => {
                 // Residency: a fetch outside the current S-Cache window
                 // refills from L2.
-                let lines = self.scache.refill_window(idx, offset as usize);
-                let mut extra = 0;
-                for a in &lines {
-                    extra = extra.max(self.core.mem_mut().load_bypassing_l1(*a).latency);
-                }
+                let (extra, _) = self.refill(idx, offset as usize);
                 if extra > 0 {
                     self.core.set_stall_site(Site::ScacheFill);
                     self.core.stall_memory(extra);
@@ -792,7 +766,7 @@ impl Engine {
     /// [`StreamException::UseUndefined`] if the ID has no live mapping.
     pub fn stream_keys(&self, sid: StreamId) -> Result<&[Key], StreamException> {
         let idx = self.smt.lookup(sid)?;
-        Ok(&self.data[idx].as_ref().expect("payload").keys)
+        Ok(&self.data[idx].keys)
     }
 
     /// Snapshot of a stream's values, if it is a (key, value) stream.
@@ -802,7 +776,7 @@ impl Engine {
     /// [`StreamException::UseUndefined`] if the ID has no live mapping.
     pub fn stream_values(&self, sid: StreamId) -> Result<Option<&[Value]>, StreamException> {
         let idx = self.smt.lookup(sid)?;
-        Ok(self.data[idx].as_ref().expect("payload").vals.as_deref())
+        Ok(self.smt.reg(idx).val_addr.map(|_| self.data[idx].vals.as_slice()))
     }
 
     /// Length of a stream.
@@ -822,41 +796,107 @@ impl Engine {
     /// stream (beyond what was already fetched), returning the mean line
     /// latency used for the supply-rate model.
     fn charge_stream_lines(&mut self, idx: SregIdx, consumed: u64) -> f64 {
-        let payload = self.data[idx].as_ref().expect("payload");
-        if payload.source != StreamSource::Memory {
+        let needed = consumed.div_ceil(self.keys_per_line());
+        let p = &mut self.data[idx];
+        if p.source != StreamSource::Memory {
             // Scratchpad / S-Cache resident: SRAM-rate supply.
             return self.cfg.scratchpad.latency as f64;
         }
-        let already = payload.lines_fetched;
-        let key_addr = self.smt.reg(idx).key_addr;
+        let from = p.lines_fetched;
+        p.lines_fetched = from.max(needed);
+        self.fetch_lines(self.smt.reg(idx).key_addr, from, needed)
+    }
+
+    /// Fetch lines `from..to` of the key stream at `base` from L2 and
+    /// return their mean latency (the L2 latency when there are none).
+    fn fetch_lines(&mut self, base: u64, from: u64, to: u64) -> f64 {
         let line_bytes = self.cfg.core.mem.l2.line_bytes;
-        let lines_needed = consumed.div_ceil(self.keys_per_line());
         let mut total = 0u64;
-        let mut n = 0u64;
-        for l in already..lines_needed {
-            let r = self.core.mem_mut().load_bypassing_l1(key_addr + l * line_bytes);
-            total += r.latency;
-            n += 1;
+        for l in from..to {
+            total += self.core.mem_mut().load_bypassing_l1(base + l * line_bytes).latency;
         }
-        if let Some(p) = self.data[idx].as_mut() {
-            p.lines_fetched = p.lines_fetched.max(lines_needed);
-        }
-        if n == 0 {
+        if to <= from {
             self.cfg.core.mem.l2.latency as f64
         } else {
-            total as f64 / n as f64
+            total as f64 / (to - from) as f64
         }
     }
 
+    /// Slide register `idx`'s S-Cache window to `key_idx` and fetch the
+    /// missing lines from L2. Returns the slowest fill's latency and the
+    /// number of lines fetched.
+    fn refill(&mut self, idx: SregIdx, key_idx: usize) -> (Cycle, u64) {
+        self.scache.refill_window(idx, key_idx, &mut self.lines);
+        let mut worst = 0;
+        for &a in &self.lines {
+            worst = worst.max(self.core.mem_mut().load_bypassing_l1(a).latency);
+        }
+        (worst, self.lines.len() as u64)
+    }
+
+    /// Define `sid` as the output stream just produced into the scratch
+    /// buffers, ready at `done`: allocate its memory region, write its
+    /// keys back to L2 a line at a time, and swap the scratch buffers into
+    /// its register (whose old buffers become the next scratch).
+    fn define_output(
+        &mut self,
+        sid: StreamId,
+        with_vals: bool,
+        done: Cycle,
+    ) -> Result<SregIdx, StreamException> {
+        let n = self.out_keys.len() as u64;
+        let (out_addr, key_bytes) = (self.out_alloc, ((n * 4) | 63) + 1);
+        let out_bytes = if with_vals { ((n * 12) | 63) + 1 } else { key_bytes };
+        self.out_alloc += out_bytes;
+        if let Some(san) = &mut self.san {
+            let what = if with_vals { "value-merge writeback" } else { "output-stream writeback" };
+            san.check_write(out_addr, out_addr + out_bytes, what);
+        }
+        let val_addr = with_vals.then_some(out_addr + key_bytes);
+        let idx = self.smt.define(sid, out_addr, val_addr, n as u32, Priority(0), done)?;
+        if let Some(san) = &mut self.san {
+            san.note_define(sid);
+        }
+        self.scache.bind_output(idx, out_addr);
+        for line in self.scache.push_output_keys(idx, n as usize) {
+            self.core.mem_mut().writeback_to_l2(line);
+        }
+        self.scache.seal_output(idx);
+        self.stats.lengths.record(n as u32);
+        self.probe.observe("engine.stream_len", n);
+        let p = &mut self.data[idx];
+        std::mem::swap(&mut p.keys, &mut self.out_keys);
+        std::mem::swap(&mut p.vals, &mut self.out_vals);
+        (p.live, p.source, p.lines_fetched) = (true, StreamSource::Output, 0);
+        Ok(idx)
+    }
+
+    /// Swap in and resolve the operands of a two-stream instruction:
+    /// their registers and the cycle both are ready.
+    fn operands(
+        &mut self,
+        a: StreamId,
+        b: StreamId,
+    ) -> Result<(SregIdx, SregIdx, Cycle), StreamException> {
+        self.ensure_resident(a, &[a, b])?;
+        self.ensure_resident(b, &[a, b])?;
+        let (a_idx, b_idx) = (self.lookup_use(a)?, self.lookup_use(b)?);
+        Ok((a_idx, b_idx, self.smt.reg(a_idx).ready_at.max(self.smt.reg(b_idx).ready_at)))
+    }
+
+    /// Close an instruction's span on the engine track (when tracing).
+    fn span(&self, name: &str, t0: Cycle, args: &[(&'static str, u64)]) {
+        self.probe.span(Track::Engine, name, t0, self.core.cycles(), args);
+    }
+
     /// Pick the earliest-free SU and compute the op's completion time.
-    /// Returns (start, done).
     fn schedule_su(
         &mut self,
         ready: Cycle,
         timing: &SuTiming,
         mem_rate: f64,
         value_cycles: Cycle,
-    ) -> (Cycle, Cycle) {
+    ) -> Cycle {
         let (su, &free_at) =
             self.su_free_at.iter().enumerate().min_by_key(|(_, &t)| t).expect("at least one SU");
         let start = self.core.cycles().max(free_at);
@@ -905,7 +945,7 @@ impl Engine {
             san.check_su_event(ready, start, done);
             san.check_clock(self.last_event);
         }
-        (start, done)
+        done
     }
 
     /// Stream keys carried by one memory line, from the hierarchy's
@@ -923,7 +963,7 @@ impl Engine {
     }
 
     /// Common path of the six key-stream set operations. Returns the
-    /// functional output (None for `.C` forms) plus the produced count.
+    /// produced count.
     fn set_op(
         &mut self,
         op: SuOp,
@@ -931,91 +971,47 @@ impl Engine {
         b: StreamId,
         out: Option<StreamId>,
         bound: Bound,
-    ) -> Result<(Option<Vec<Key>>, u64, Cycle), StreamException> {
+    ) -> Result<u64, StreamException> {
         let t0 = self.core.cycles();
         self.probe.set_now(t0);
         self.core.ops(4); // dispatch + operand moves (ids, bound, dest)
-        self.trace_instr(|| match (op, out) {
+        let instr = match (op, out) {
             (SuOp::Intersect, Some(out)) => sc_isa::Instr::SInter { a, b, out, bound },
             (SuOp::Intersect, None) => sc_isa::Instr::SInterC { a, b, bound },
             (SuOp::Subtract, Some(out)) => sc_isa::Instr::SSub { a, b, out, bound },
             (SuOp::Subtract, None) => sc_isa::Instr::SSubC { a, b, bound },
             (SuOp::Merge, Some(out)) => sc_isa::Instr::SMerge { a, b, out },
             (SuOp::Merge, None) => sc_isa::Instr::SMergeC { a, b },
-        });
-        self.ensure_resident(a, &[a, b])?;
-        self.ensure_resident(b, &[a, b])?;
-        let a_idx = self.lookup_use(a)?;
-        let b_idx = self.lookup_use(b)?;
-        let ready = self.smt.get(a)?.ready_at.max(self.smt.get(b)?.ready_at);
+        };
+        self.trace_instr(|| instr);
+        let (a_idx, b_idx, ready) = self.operands(a, b)?;
 
-        // Functional + datapath-cycle replay (immutable phase).
-        let (timing, result) = {
-            let ka = &self.data[a_idx].as_ref().expect("payload").keys;
-            let kb = &self.data[b_idx].as_ref().expect("payload").keys;
-            let timing = simulate(op, ka, kb, bound, self.cfg.su_buffer);
-            let result = out.map(|_| match op {
-                SuOp::Intersect => setops::intersect(ka, kb, bound),
-                SuOp::Subtract => setops::subtract(ka, kb, bound),
-                SuOp::Merge => setops::merge(ka, kb),
-            });
-            (timing, result)
+        // One walk: the datapath-cycle replay and, for the stream forms,
+        // the output keys.
+        self.out_keys.clear();
+        self.out_vals.clear();
+        let (ka, kb, keys) = (&self.data[a_idx].keys, &self.data[b_idx].keys, &mut self.out_keys);
+        let timing = match out {
+            Some(_) => su::walk(op, ka, kb, bound, self.cfg.su_buffer, |o| match o {
+                Out::Pair(i, _) => keys.push(ka[i]),
+                Out::A(r) => keys.extend_from_slice(&ka[r]),
+                Out::B(r) => keys.extend_from_slice(&kb[r]),
+            }),
+            None => simulate(op, ka, kb, bound, self.cfg.su_buffer),
         };
 
         // Charge the prefetch traffic actually consumed.
         let lat_a = self.charge_stream_lines(a_idx, timing.consumed_a);
         let lat_b = self.charge_stream_lines(b_idx, timing.consumed_b);
         let mem_rate = self.mem_rate(lat_a) + self.mem_rate(lat_b);
-        let (_start, done) = self.schedule_su(ready, &timing, mem_rate, 0);
+        let done = self.schedule_su(ready, &timing, mem_rate, 0);
 
         let produced = timing.produced;
-        if let (Some(out_sid), Some(keys)) = (out, result.as_ref()) {
-            // Allocate an output region and bind the output slot.
-            let out_addr = self.out_alloc;
-            let out_bytes = ((keys.len() as u64 * 4) | 63) + 1;
-            self.out_alloc += out_bytes;
-            if let Some(san) = &mut self.san {
-                san.check_write(out_addr, out_addr + out_bytes, "output-stream writeback");
-            }
-            let idx =
-                self.smt.define(out_sid, out_addr, None, keys.len() as u32, Priority(0), done)?;
-            if let Some(san) = &mut self.san {
-                san.note_define(out_sid);
-            }
-            self.scache.bind_output(idx, out_addr);
-            for _ in 0..keys.len() {
-                if let Some(line) = self.scache.push_output_key(idx) {
-                    self.core.mem_mut().writeback_to_l2(line);
-                }
-            }
-            self.scache.seal_output(idx);
-            self.stats.lengths.record(keys.len() as u32);
-            self.probe.observe("engine.stream_len", keys.len() as u64);
-            self.data[idx] = Some(StreamPayload {
-                keys: result.expect("result computed"),
-                vals: None,
-                source: StreamSource::Output,
-                lines_fetched: 0,
-            });
+        if let Some(out) = out {
+            self.define_output(out, false, done)?;
         }
-        if self.probe.tracing() {
-            let name = match (op, out.is_some()) {
-                (SuOp::Intersect, true) => "S_INTER",
-                (SuOp::Intersect, false) => "S_INTER.C",
-                (SuOp::Subtract, true) => "S_SUB",
-                (SuOp::Subtract, false) => "S_SUB.C",
-                (SuOp::Merge, true) => "S_MERGE",
-                (SuOp::Merge, false) => "S_MERGE.C",
-            };
-            self.probe.span(
-                Track::Engine,
-                name,
-                t0,
-                self.core.cycles(),
-                &[("produced", produced), ("done", done)],
-            );
-        }
-        Ok((None, produced, done))
+        self.span(instr.mnemonic(), t0, &[("produced", produced), ("done", done)]);
+        Ok(produced)
     }
 
     /// `S_INTER`: bounded intersection into output stream `out`.
@@ -1030,8 +1026,7 @@ impl Engine {
         out: StreamId,
         bound: Bound,
     ) -> Result<u32, StreamException> {
-        let (_, produced, _) = self.set_op(SuOp::Intersect, a, b, Some(out), bound)?;
-        Ok(produced as u32)
+        Ok(self.set_op(SuOp::Intersect, a, b, Some(out), bound)? as u32)
     }
 
     /// `S_INTER.C`: bounded intersection count.
@@ -1045,8 +1040,7 @@ impl Engine {
         b: StreamId,
         bound: Bound,
     ) -> Result<u64, StreamException> {
-        let (_, produced, _) = self.set_op(SuOp::Intersect, a, b, None, bound)?;
-        Ok(produced)
+        self.set_op(SuOp::Intersect, a, b, None, bound)
     }
 
     /// `S_SUB`: bounded subtraction (`a \ b`) into output stream `out`.
@@ -1061,8 +1055,7 @@ impl Engine {
         out: StreamId,
         bound: Bound,
     ) -> Result<u32, StreamException> {
-        let (_, produced, _) = self.set_op(SuOp::Subtract, a, b, Some(out), bound)?;
-        Ok(produced as u32)
+        Ok(self.set_op(SuOp::Subtract, a, b, Some(out), bound)? as u32)
     }
 
     /// `S_SUB.C`: bounded subtraction count.
@@ -1076,8 +1069,7 @@ impl Engine {
         b: StreamId,
         bound: Bound,
     ) -> Result<u64, StreamException> {
-        let (_, produced, _) = self.set_op(SuOp::Subtract, a, b, None, bound)?;
-        Ok(produced)
+        self.set_op(SuOp::Subtract, a, b, None, bound)
     }
 
     /// `S_MERGE`: union into output stream `out`.
@@ -1091,8 +1083,7 @@ impl Engine {
         b: StreamId,
         out: StreamId,
     ) -> Result<u32, StreamException> {
-        let (_, produced, _) = self.set_op(SuOp::Merge, a, b, Some(out), Bound::none())?;
-        Ok(produced as u32)
+        Ok(self.set_op(SuOp::Merge, a, b, Some(out), Bound::none())? as u32)
     }
 
     /// `S_MERGE.C`: union count.
@@ -1101,8 +1092,7 @@ impl Engine {
     ///
     /// [`StreamException::UseUndefined`] on undefined operands.
     pub fn s_merge_c(&mut self, a: StreamId, b: StreamId) -> Result<u64, StreamException> {
-        let (_, produced, _) = self.set_op(SuOp::Merge, a, b, None, Bound::none())?;
-        Ok(produced)
+        self.set_op(SuOp::Merge, a, b, None, Bound::none())
     }
 
     /// `S_VINTER`: intersect the keys of two (key, value) streams and
@@ -1126,65 +1116,22 @@ impl Engine {
         self.stats.value_ops += 1;
         self.probe.count("engine.value_ops", 1);
         self.trace_instr(|| sc_isa::Instr::SVInter { a, b, op });
-        self.ensure_resident(a, &[a, b])?;
-        self.ensure_resident(b, &[a, b])?;
-        let a_idx = self.lookup_use(a)?;
-        let b_idx = self.lookup_use(b)?;
-        let a_reg = self.smt.get(a)?;
-        let b_reg = self.smt.get(b)?;
-        let ready = a_reg.ready_at.max(b_reg.ready_at);
-        let a_val_addr = a_reg.val_addr.ok_or(StreamException::NotKeyValueStream(a))?;
-        let b_val_addr = b_reg.val_addr.ok_or(StreamException::NotKeyValueStream(b))?;
+        let (a_idx, b_idx, ready) = self.operands(a, b)?;
+        let a_val_addr =
+            self.smt.reg(a_idx).val_addr.ok_or(StreamException::NotKeyValueStream(a))?;
+        let b_val_addr =
+            self.smt.reg(b_idx).val_addr.ok_or(StreamException::NotKeyValueStream(b))?;
 
-        // Functional phase: matched positions and the reduction.
-        let (timing, acc, matches) = {
-            let pa = self.data[a_idx].as_ref().expect("payload");
-            let pb = self.data[b_idx].as_ref().expect("payload");
-            let va = pa.vals.as_ref().ok_or(StreamException::NotKeyValueStream(a))?;
-            let vb = pb.vals.as_ref().ok_or(StreamException::NotKeyValueStream(b))?;
-            // A *dense* operand (keys are consecutive integers) lets the
-            // SU seek instead of scan: key k of a dense stream lives at
-            // offset k, so the S-Cache window slides straight to the
-            // other operand's head (the same window-slide mechanism
-            // S_FETCH uses). Only the matched windows are touched.
-            let dense_a = is_dense(&pa.keys);
-            let dense_b = is_dense(&pb.keys);
-            let timing = if dense_b && !dense_a {
-                seek_timing(&pa.keys, &pb.keys)
-            } else if dense_a && !dense_b {
-                let t = seek_timing(&pb.keys, &pa.keys);
-                SuTiming {
-                    compare_cycles: t.compare_cycles,
-                    consumed_a: t.consumed_b,
-                    consumed_b: t.consumed_a,
-                    produced: t.produced,
-                }
-            } else {
-                simulate(SuOp::Intersect, &pa.keys, &pb.keys, Bound::none(), self.cfg.su_buffer)
-            };
-            let (acc, _n) = setops::vinter(&pa.keys, va, &pb.keys, vb, op);
-            (timing, acc, timing.produced)
-        };
-
-        // Matched index pairs for value-address generation.
-        let pairs: Vec<(u64, u64)> = {
-            let pa = self.data[a_idx].as_ref().expect("payload");
-            let pb = self.data[b_idx].as_ref().expect("payload");
-            let (mut i, mut j) = (0usize, 0usize);
-            let mut v = Vec::with_capacity(matches as usize);
-            while i < pa.keys.len() && j < pb.keys.len() {
-                match pa.keys[i].cmp(&pb.keys[j]) {
-                    std::cmp::Ordering::Equal => {
-                        v.push((i as u64, j as u64));
-                        i += 1;
-                        j += 1;
-                    }
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                }
-            }
-            v
-        };
+        // One walk: the timing, the reduction in key order, and the
+        // matched positions for the value loads.
+        self.pairs.clear();
+        let (pa, pb, pairs) = (&self.data[a_idx], &self.data[b_idx], &mut self.pairs);
+        let mut acc = 0.0;
+        let timing = su::vinter_walk(&pa.keys, &pb.keys, self.cfg.su_buffer, |i, j| {
+            acc += op.combine(pa.vals[i], pb.vals[j]);
+            pairs.push((i as u64, j as u64));
+        });
+        let matches = timing.produced;
 
         let lat_a = self.charge_stream_lines(a_idx, timing.consumed_a);
         let lat_b = self.charge_stream_lines(b_idx, timing.consumed_b);
@@ -1195,29 +1142,21 @@ impl Engine {
         // single ROB entry and the core issues nothing per match. Charge
         // the hierarchy for every access; the SVPU pipeline is bounded by
         // one reduction per cycle and by the value-supply rate the load
-        // queue sustains.
+        // queue sustains. The loads follow the stream-line charges above:
+        // both reach L2, so issuing them during the walk would reorder the
+        // hierarchy's accesses.
         let mut lat_sum = 0u64;
-        for (ia, ib) in &pairs {
+        for &(ia, ib) in &self.pairs {
             lat_sum += self.core.mem_mut().load(a_val_addr + ia * 8).latency;
             lat_sum += self.core.mem_mut().load(b_val_addr + ib * 8).latency;
-            self.stats.value_loads += 2;
         }
+        let value_loads = self.pairs.len() as u64 * 2;
+        self.stats.value_loads += value_loads;
         let lq = u64::from(self.cfg.core.load_queue).max(1);
         let value_cycles = matches.max(lat_sum.div_ceil(lq));
-        let (_start, done) = self.schedule_su(ready, &timing, mem_rate, value_cycles);
-        self.last_event = self.last_event.max(done);
-        if self.probe.enabled() {
-            self.probe.count("engine.value_loads", pairs.len() as u64 * 2);
-            if self.probe.tracing() {
-                self.probe.span(
-                    Track::Engine,
-                    "S_VINTER",
-                    t0,
-                    self.core.cycles(),
-                    &[("matches", matches), ("done", done)],
-                );
-            }
-        }
+        let done = self.schedule_su(ready, &timing, mem_rate, value_cycles);
+        self.probe.count("engine.value_loads", value_loads);
+        self.span("S_VINTER", t0, &[("matches", matches), ("done", done)]);
         Ok(acc)
     }
 
@@ -1243,26 +1182,34 @@ impl Engine {
         self.stats.value_ops += 1;
         self.probe.count("engine.value_ops", 1);
         self.trace_instr(|| sc_isa::Instr::SVMerge { scale_a, scale_b, a, b, out });
-        self.ensure_resident(a, &[a, b])?;
-        self.ensure_resident(b, &[a, b])?;
-        let a_idx = self.lookup_use(a)?;
-        let b_idx = self.lookup_use(b)?;
-        let a_reg = self.smt.get(a)?;
-        let b_reg = self.smt.get(b)?;
-        let ready = a_reg.ready_at.max(b_reg.ready_at);
-        let a_val_addr = a_reg.val_addr.ok_or(StreamException::NotKeyValueStream(a))?;
-        let b_val_addr = b_reg.val_addr.ok_or(StreamException::NotKeyValueStream(b))?;
+        let (a_idx, b_idx, ready) = self.operands(a, b)?;
+        let a_val_addr =
+            self.smt.reg(a_idx).val_addr.ok_or(StreamException::NotKeyValueStream(a))?;
+        let b_val_addr =
+            self.smt.reg(b_idx).val_addr.ok_or(StreamException::NotKeyValueStream(b))?;
 
-        let (timing, keys, vals, len_a, len_b) = {
-            let pa = self.data[a_idx].as_ref().expect("payload");
-            let pb = self.data[b_idx].as_ref().expect("payload");
-            let va = pa.vals.as_ref().ok_or(StreamException::NotKeyValueStream(a))?;
-            let vb = pb.vals.as_ref().ok_or(StreamException::NotKeyValueStream(b))?;
-            let timing =
-                simulate(SuOp::Merge, &pa.keys, &pb.keys, Bound::none(), self.cfg.su_buffer);
-            let (keys, vals) = setops::vmerge(scale_a, &pa.keys, va, scale_b, &pb.keys, vb);
-            (timing, keys, vals, pa.keys.len() as u64, pb.keys.len() as u64)
-        };
+        // One walk: the timing and the scaled output into the scratch
+        // buffers.
+        self.out_keys.clear();
+        self.out_vals.clear();
+        let (pa, pb) = (&self.data[a_idx], &self.data[b_idx]);
+        let (len_a, len_b) = (pa.keys.len() as u64, pb.keys.len() as u64);
+        let (keys, vals) = (&mut self.out_keys, &mut self.out_vals);
+        let (width, bound) = (self.cfg.su_buffer, Bound::none());
+        let timing = su::walk(SuOp::Merge, &pa.keys, &pb.keys, bound, width, |o| match o {
+            Out::Pair(i, j) => {
+                keys.push(pa.keys[i]);
+                vals.push(scale_a * pa.vals[i] + scale_b * pb.vals[j]);
+            }
+            Out::A(r) => {
+                keys.extend_from_slice(&pa.keys[r.clone()]);
+                vals.extend(pa.vals[r].iter().map(|&v| scale_a * v));
+            }
+            Out::B(r) => {
+                keys.extend_from_slice(&pb.keys[r.clone()]);
+                vals.extend(pb.vals[r].iter().map(|&v| scale_b * v));
+            }
+        });
 
         let lat_a = self.charge_stream_lines(a_idx, timing.consumed_a);
         let lat_b = self.charge_stream_lines(b_idx, timing.consumed_b);
@@ -1272,64 +1219,26 @@ impl Engine {
         // by VA_gen through the load queue — hardware-generated, no core
         // issue slots (Section 4.5) — and every output value passes
         // through the SVPU at one per cycle.
-        let mut lat_sum = 0u64;
-        for i in 0..len_a {
-            lat_sum += self.core.mem_mut().load(a_val_addr + i * 8).latency;
-        }
-        for i in 0..len_b {
-            lat_sum += self.core.mem_mut().load(b_val_addr + i * 8).latency;
-        }
+        let mem = self.core.mem_mut();
+        let lat_sum = mem.load_seq(a_val_addr, len_a, 8) + mem.load_seq(b_val_addr, len_b, 8);
         self.stats.value_loads += len_a + len_b;
         self.probe.count("engine.value_loads", len_a + len_b);
         let lq = u64::from(self.cfg.core.load_queue).max(1);
         let value_cycles = timing.produced.max(lat_sum.div_ceil(lq));
-        let (_start, done) = self.schedule_su(ready, &timing, mem_rate, value_cycles);
+        let done = self.schedule_su(ready, &timing, mem_rate, value_cycles);
 
         // Output: keys into the S-Cache slot, values stored through the
         // hierarchy (one store per produced 64 B value line).
-        let out_addr = self.out_alloc;
-        let out_bytes = ((keys.len() as u64 * 12) | 63) + 1;
-        self.out_alloc += out_bytes;
-        if let Some(san) = &mut self.san {
-            san.check_write(out_addr, out_addr + out_bytes, "value-merge writeback");
-        }
-        let produced = keys.len() as u32;
-        let val_out = out_addr + ((keys.len() as u64 * 4) | 63) + 1;
-        let idx = self.smt.define(out, out_addr, Some(val_out), produced, Priority(0), done)?;
-        if let Some(san) = &mut self.san {
-            san.note_define(out);
-        }
-        self.scache.bind_output(idx, out_addr);
-        for _ in 0..keys.len() {
-            if let Some(line) = self.scache.push_output_key(idx) {
-                self.core.mem_mut().writeback_to_l2(line);
-            }
-        }
-        self.scache.seal_output(idx);
+        let n = self.out_keys.len() as u64;
+        let idx = self.define_output(out, true, done)?;
+        let val_out = self.smt.reg(idx).val_addr.expect("value stream");
         // Output value lines stream back through the hierarchy from the
         // SVPU's buffer, not via core store uops.
-        for l in 0..(keys.len() as u64 * 8).div_ceil(64) {
+        for l in 0..(n * 8).div_ceil(64) {
             self.core.mem_mut().store(val_out + l * 64);
         }
-        self.stats.lengths.record(produced);
-        self.probe.observe("engine.stream_len", u64::from(produced));
-        self.data[idx] = Some(StreamPayload {
-            keys,
-            vals: Some(vals),
-            source: StreamSource::Output,
-            lines_fetched: 0,
-        });
-        self.last_event = self.last_event.max(done);
-        if self.probe.tracing() {
-            self.probe.span(
-                Track::Engine,
-                "S_VMERGE",
-                t0,
-                self.core.cycles(),
-                &[("produced", u64::from(produced)), ("done", done)],
-            );
-        }
-        Ok(produced)
+        self.span("S_VMERGE", t0, &[("produced", n), ("done", done)]);
+        Ok(n as u32)
     }
 
     /// `S_NESTINTER`: for each key `s_i` of stream `sid`, intersect the
@@ -1355,7 +1264,8 @@ impl Engine {
         self.ensure_resident(sid, &[sid])?;
         let s_idx = self.lookup_use(sid)?;
         let s_ready = self.smt.get(sid)?.ready_at;
-        let s_keys: Vec<Key> = self.data[s_idx].as_ref().expect("payload").keys.clone();
+        // The walk borrows the input stream's keys; they go back below.
+        let s_keys = std::mem::take(&mut self.data[s_idx].keys);
         // The whole input stream is consumed repeatedly; charge its lines
         // once (it stays resident in S-Cache/scratchpad across steps).
         let s_lat = self.charge_stream_lines(s_idx, s_keys.len() as u64);
@@ -1364,7 +1274,7 @@ impl Engine {
         // In-flight nested steps bounded by the translation buffer: each
         // step takes 4 entries (S_READ, S_INTER.C, S_FREE, ADD).
         let max_inflight = (self.cfg.translation_buffer / 4).max(1);
-        let mut inflight: VecDeque<Cycle> = VecDeque::with_capacity(max_inflight);
+        self.inflight.clear();
 
         // Everything the core itself stalls on inside this loop — the
         // stream-info loads and the translation-buffer back-pressure — is
@@ -1377,8 +1287,8 @@ impl Engine {
             self.core.load(self.gfr.gfr2 + u64::from(s_i) * 4);
 
             // Translation-buffer back-pressure.
-            if inflight.len() >= max_inflight {
-                let oldest = inflight.pop_front().expect("non-empty");
+            if self.inflight.len() >= max_inflight {
+                let oldest = self.inflight.pop_front().expect("non-empty");
                 self.core.wait_until(oldest.min(self.last_event));
             }
 
@@ -1391,33 +1301,17 @@ impl Engine {
 
             // Charge the dependent stream's consumed lines (only the
             // bounded prefix is fetched, thanks to the CSR offset).
-            let line_bytes = self.cfg.core.mem.l2.line_bytes;
-            let lines = timing.consumed_b.div_ceil(self.keys_per_line());
-            let mut lat_sum = 0u64;
-            for l in 0..lines {
-                lat_sum += self.core.mem_mut().load_bypassing_l1(naddr + l * line_bytes).latency;
-            }
-            let lat_n = if lines == 0 {
-                self.cfg.core.mem.l2.latency as f64
-            } else {
-                lat_sum as f64 / lines as f64
-            };
+            let lat_n =
+                self.fetch_lines(naddr, 0, timing.consumed_b.div_ceil(self.keys_per_line()));
             let mem_rate = self.mem_rate(s_lat) + self.mem_rate(lat_n);
-            let (_start, done) = self.schedule_su(s_ready, &timing, mem_rate, 0);
-            inflight.push_back(done);
+            let done = self.schedule_su(s_ready, &timing, mem_rate, 0);
+            self.inflight.push_back(done);
             self.core.ops(1); // the accumulate micro-op
             self.probe.observe("engine.stream_len", nkeys.len() as u64);
         }
         self.core.set_stall_site(prev);
-        if self.probe.tracing() {
-            self.probe.span(
-                Track::Engine,
-                "S_NESTINTER",
-                t0,
-                self.core.cycles(),
-                &[("steps", s_keys.len() as u64), ("total", total)],
-            );
-        }
+        self.span("S_NESTINTER", t0, &[("steps", s_keys.len() as u64), ("total", total)]);
+        self.data[s_idx].keys = s_keys;
         Ok(total)
     }
 
@@ -1569,8 +1463,9 @@ impl Engine {
         for (idx, entry) in active.iter().enumerate() {
             match *entry {
                 Some((sid, len)) => {
-                    match self.data[idx].as_ref() {
-                        None => diags.push(
+                    let p = &self.data[idx];
+                    if !p.live {
+                        diags.push(
                             Diagnostic::sanitizer(
                                 LintCode::SanUseAfterFree,
                                 format!(
@@ -1580,8 +1475,9 @@ impl Engine {
                                 ),
                             )
                             .with_sid(sid),
-                        ),
-                        Some(p) if p.keys.len() as u32 != len => diags.push(
+                        );
+                    } else if p.keys.len() as u32 != len {
+                        diags.push(
                             Diagnostic::sanitizer(
                                 LintCode::SanUseAfterFree,
                                 format!(
@@ -1592,8 +1488,7 @@ impl Engine {
                                 ),
                             )
                             .with_sid(sid),
-                        ),
-                        Some(_) => {}
+                        );
                     }
                     if !self.scache.is_bound(idx) {
                         diags.push(
@@ -1610,7 +1505,7 @@ impl Engine {
                     }
                 }
                 None => {
-                    if self.data[idx].is_some() {
+                    if self.data[idx].live {
                         diags.push(Diagnostic::sanitizer(
                             LintCode::SanUseAfterFree,
                             format!("register {idx} holds a payload but no SMT entry maps it"),
@@ -1663,7 +1558,7 @@ impl Engine {
     #[doc(hidden)]
     pub fn sabotage_drop_payload(&mut self, sid: StreamId) {
         if let Ok(idx) = self.smt.lookup(sid) {
-            self.data[idx] = None;
+            self.data[idx] = StreamPayload::default();
         }
     }
 
@@ -1735,6 +1630,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::setops;
 
     fn sid(n: u32) -> StreamId {
         StreamId::new(n)

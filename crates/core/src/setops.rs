@@ -2,9 +2,11 @@
 //!
 //! These are the *semantics* of `S_INTER`, `S_SUB`, `S_MERGE` and their
 //! value-carrying variants: exact merge-based algorithms over sorted,
-//! deduplicated `u32` slices. The timing models live in [`crate::su`];
-//! the scalar CPU baseline and the accelerator models reuse these same
-//! functions so every design computes identical answers.
+//! deduplicated `u32` slices. The timing models live in [`crate::su`],
+//! whose walk also produces the engine's results in the same pass and is
+//! tested against these functions; the scalar CPU baseline and the
+//! accelerator models reuse these same functions so every design
+//! computes identical answers.
 
 use sc_isa::{Bound, Key, Value, ValueOp};
 

@@ -1,22 +1,29 @@
 //! Engine-level statistics: instruction counts, SU utilization, and the
 //! stream-length distribution of paper Figure 14.
 
-use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
+
+/// Lengths below this are counted in a dense table, so recording one is
+/// an indexed add on the engine's per-instruction path; longer ones,
+/// which are rarer, go to an ordered map.
+const SHORT: usize = 1024;
 
 /// Histogram of stream lengths observed by the engine (each `S_READ` /
 /// `S_VREAD` operand and each produced output stream contributes one
 /// sample).
 ///
-/// The read paths (`cdf_at`, `cdf_series`, `quantile`) take `&self`: the
-/// lazy sort they rely on lives behind interior mutability, so snapshot
-/// and reporting code can query a histogram it only has shared access to
-/// (e.g. through [`crate::Engine::stats`]). The type is `Send` but not
-/// `Sync` — each engine, and therefore each histogram, belongs to one
-/// simulation thread.
+/// It keeps a count per distinct length, not the samples themselves, so
+/// its size is bounded by the lengths seen rather than the instructions
+/// executed, and recording a length seen before allocates nothing. The
+/// CDF, quantiles and mean are exact.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LengthHistogram {
-    samples: RefCell<Vec<u32>>,
-    sorted: Cell<bool>,
+    /// `short[l]`: samples of length `l < SHORT` (empty until the first).
+    short: Vec<u64>,
+    /// Samples of each length `>= SHORT`.
+    long: BTreeMap<u32, u64>,
+    count: u64,
+    sum: u64,
 }
 
 impl LengthHistogram {
@@ -27,40 +34,45 @@ impl LengthHistogram {
 
     /// Record one stream length.
     pub fn record(&mut self, len: u32) {
-        self.samples.get_mut().push(len);
-        self.sorted.set(false);
+        if (len as usize) < SHORT {
+            if self.short.is_empty() {
+                self.short.resize(SHORT, 0);
+            }
+            self.short[len as usize] += 1;
+        } else {
+            *self.long.entry(len).or_default() += 1;
+        }
+        self.count += 1;
+        self.sum += u64::from(len);
     }
 
     /// Number of samples.
     pub fn count(&self) -> usize {
-        self.samples.borrow().len()
+        self.count as usize
     }
 
     /// Mean length; 0.0 when empty.
     pub fn mean(&self) -> f64 {
-        let samples = self.samples.borrow();
-        if samples.is_empty() {
+        if self.count == 0 {
             0.0
         } else {
-            samples.iter().map(|&l| l as f64).sum::<f64>() / samples.len() as f64
+            self.sum as f64 / self.count as f64
         }
     }
 
-    fn ensure_sorted(&self) {
-        if !self.sorted.get() {
-            self.samples.borrow_mut().sort_unstable();
-            self.sorted.set(true);
-        }
+    /// `(length, samples)` for every observed length, ascending.
+    fn bins(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        let short = self.short.iter().enumerate().map(|(l, &n)| (l as u32, n));
+        short.chain(self.long.iter().map(|(&l, &n)| (l, n))).filter(|&(_, n)| n > 0)
     }
 
     /// Cumulative distribution: fraction of samples with length <= `len`.
     pub fn cdf_at(&self, len: u32) -> f64 {
-        self.ensure_sorted();
-        let samples = self.samples.borrow();
-        if samples.is_empty() {
+        if self.count == 0 {
             return 0.0;
         }
-        samples.partition_point(|&l| l <= len) as f64 / samples.len() as f64
+        let at_most: u64 = self.bins().take_while(|&(l, _)| l <= len).map(|(_, n)| n).sum();
+        at_most as f64 / self.count as f64
     }
 
     /// The CDF sampled at the given points (the Figure 14 series).
@@ -68,25 +80,33 @@ impl LengthHistogram {
         points.iter().map(|&p| (p, self.cdf_at(p))).collect()
     }
 
-    /// The `q`-quantile of the lengths (q in [0, 1]); `None` when empty.
+    /// The `q`-quantile of the lengths (q in [0, 1]): the sample at rank
+    /// `round((count - 1) * q)` in sorted order; `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<u32> {
-        self.ensure_sorted();
-        let samples = self.samples.borrow();
-        if samples.is_empty() {
+        if self.count == 0 {
             return None;
         }
-        let idx = ((samples.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        Some(samples[idx])
+        let rank = ((self.count - 1) as f64 * q.clamp(0.0, 1.0)).round() as u64;
+        let mut below = 0;
+        self.bins()
+            .find(|&(_, n)| {
+                below += n;
+                below > rank
+            })
+            .map(|(l, _)| l)
     }
 
     /// Shortest observed length; `None` when empty.
     pub fn min(&self) -> Option<u32> {
-        self.samples.borrow().iter().copied().min()
+        self.bins().next().map(|(l, _)| l)
     }
 
     /// Longest observed length; `None` when empty.
     pub fn max(&self) -> Option<u32> {
-        self.samples.borrow().iter().copied().max()
+        match self.long.last_key_value() {
+            Some((&l, _)) => Some(l),
+            None => self.short.iter().rposition(|&n| n > 0).map(|l| l as u32),
+        }
     }
 }
 
@@ -192,6 +212,40 @@ mod tests {
         assert_eq!(h.cdf_at(10), 1.0);
         h.record(1);
         assert_eq!(h.cdf_at(5), 0.5);
+    }
+
+    #[test]
+    fn histogram_matches_sorted_samples() {
+        // The per-length counts answer every query exactly as the sorted
+        // sample list does, on both sides of the dense/ordered split.
+        let mut h = LengthHistogram::new();
+        let mut samples = Vec::new();
+        let mut x = 12345u64;
+        for i in 0..3000u64 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let len = match i % 3 {
+                0 => (x >> 33) as u32 % 40,
+                1 => (x >> 33) as u32 % 3000,
+                _ => (x >> 33) as u32,
+            };
+            h.record(len);
+            samples.push(len);
+        }
+        samples.sort_unstable();
+        let n = samples.len();
+        assert_eq!(h.count(), n);
+        assert_eq!(h.min(), samples.first().copied());
+        assert_eq!(h.max(), samples.last().copied());
+        let mean = samples.iter().map(|&l| l as f64).sum::<f64>() / n as f64;
+        assert_eq!(h.mean().to_bits(), mean.to_bits());
+        for q in [0.0, 0.1, 0.25, 0.5, 0.9, 0.99, 1.0] {
+            let idx = ((n - 1) as f64 * q).round() as usize;
+            assert_eq!(h.quantile(q), Some(samples[idx]), "q={q}");
+        }
+        for len in [0, 1, 17, 39, 1023, 1024, 2999, 1 << 20, u32::MAX] {
+            let cdf = samples.partition_point(|&l| l <= len) as f64 / n as f64;
+            assert_eq!(h.cdf_at(len).to_bits(), cdf.to_bits(), "len={len}");
+        }
     }
 
     #[test]

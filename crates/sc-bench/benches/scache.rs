@@ -12,9 +12,10 @@ fn bench_refill(c: &mut Criterion) {
         bench.iter(|| {
             let mut sc = StreamCacheStorage::new(StreamCacheConfig::paper());
             sc.bind(0, 0x1_0000, 4096);
-            let mut fetched = 0usize;
+            let (mut fetched, mut lines) = (0usize, Vec::new());
             for key in (0..4096).step_by(32) {
-                fetched += sc.refill_window(0, key).len();
+                sc.refill_window(0, key, &mut lines);
+                fetched += lines.len();
             }
             black_box(fetched)
         })
@@ -23,12 +24,7 @@ fn bench_refill(c: &mut Criterion) {
         bench.iter(|| {
             let mut sc = StreamCacheStorage::new(StreamCacheConfig::paper());
             sc.bind_output(0, 0x2_0000);
-            let mut writebacks = 0usize;
-            for _ in 0..1024 {
-                if sc.push_output_key(0).is_some() {
-                    writebacks += 1;
-                }
-            }
+            let writebacks = sc.push_output_keys(0, 1024).count();
             black_box(writebacks)
         })
     });

@@ -17,6 +17,7 @@ use sc_cpu::Region;
 use sc_graph::CsrGraph;
 use sc_isa::{Bound, Key, Priority, StreamId, EOS};
 use sparsecore::{Engine, NestedSource, SparseCoreConfig};
+use std::borrow::Cow;
 
 /// A backend executing sorted-set operations with attached timing.
 pub trait SetBackend {
@@ -479,11 +480,12 @@ fn candidate_contains<B: SetBackend>(ctx: &mut Ctx<'_, B>, b: &mut B, l: usize, 
 // Scalar backend (CPU baseline)
 // ---------------------------------------------------------------------
 
-/// A set handle for the scalar backend: materialized keys plus their
-/// simulated base address.
+/// A set handle for the scalar backend: its keys plus their simulated
+/// base address. An edge list borrows the graph's neighbour list; only
+/// an operation's result owns its keys.
 #[derive(Debug, Clone)]
-pub struct ScalarSet {
-    keys: Vec<Key>,
+pub struct ScalarSet<'g> {
+    keys: Cow<'g, [Key]>,
     base: u64,
 }
 
@@ -535,8 +537,8 @@ impl<'g> ScalarBackend<'g> {
         let (mut i, mut j) = (0usize, 0usize);
         let mut out = Vec::new();
         let mut count = 0u64;
-        let a_keys = &a.keys;
-        let b_keys = &bset.keys;
+        let a_keys: &[Key] = &a.keys;
+        let b_keys: &[Key] = &bset.keys;
         // Initial element loads.
         if !a_keys.is_empty() {
             self.core.load(a.base);
@@ -638,16 +640,16 @@ impl<'g> ScalarBackend<'g> {
 }
 
 impl<'g> SetBackend for ScalarBackend<'g> {
-    type Set = ScalarSet;
+    type Set = ScalarSet<'g>;
 
-    fn edge_list(&mut self, v: Key) -> ScalarSet {
+    fn edge_list(&mut self, v: Key) -> Self::Set {
         // Vertex-array lookups for begin/end.
         self.core.load_use(self.g.index_entry_addr(v));
         self.core.ops(2);
-        ScalarSet { keys: self.g.neighbors(v).to_vec(), base: self.g.edge_list_addr(v) }
+        ScalarSet { keys: Cow::Borrowed(self.g.neighbors(v)), base: self.g.edge_list_addr(v) }
     }
 
-    fn edge_list_bounded(&mut self, v: Key, bound: Option<Key>) -> ScalarSet {
+    fn edge_list_bounded(&mut self, v: Key, bound: Option<Key>) -> Self::Set {
         self.core.load_use(self.g.index_entry_addr(v));
         let list = self.g.neighbors(v);
         let cut = match bound {
@@ -665,34 +667,34 @@ impl<'g> SetBackend for ScalarBackend<'g> {
             None => list.len(),
         };
         self.core.ops(2);
-        ScalarSet { keys: list[..cut].to_vec(), base: self.g.edge_list_addr(v) }
+        ScalarSet { keys: Cow::Borrowed(&list[..cut]), base: self.g.edge_list_addr(v) }
     }
 
-    fn intersect(&mut self, a: &ScalarSet, b: &ScalarSet, bound: Option<Key>) -> ScalarSet {
+    fn intersect(&mut self, a: &Self::Set, b: &Self::Set, bound: Option<Key>) -> Self::Set {
         let base = self.alloc_temp();
         let (keys, _) = self.charged_walk(a, b, bound, false, Some(base));
-        ScalarSet { keys, base }
+        ScalarSet { keys: Cow::Owned(keys), base }
     }
 
-    fn intersect_count(&mut self, a: &ScalarSet, b: &ScalarSet, bound: Option<Key>) -> u64 {
+    fn intersect_count(&mut self, a: &Self::Set, b: &Self::Set, bound: Option<Key>) -> u64 {
         self.charged_walk(a, b, bound, false, None).1
     }
 
-    fn subtract(&mut self, a: &ScalarSet, b: &ScalarSet, bound: Option<Key>) -> ScalarSet {
+    fn subtract(&mut self, a: &Self::Set, b: &Self::Set, bound: Option<Key>) -> Self::Set {
         let base = self.alloc_temp();
         let (keys, _) = self.charged_walk(a, b, bound, true, Some(base));
-        ScalarSet { keys, base }
+        ScalarSet { keys: Cow::Owned(keys), base }
     }
 
-    fn subtract_count(&mut self, a: &ScalarSet, b: &ScalarSet, bound: Option<Key>) -> u64 {
+    fn subtract_count(&mut self, a: &Self::Set, b: &Self::Set, bound: Option<Key>) -> u64 {
         self.charged_walk(a, b, bound, true, None).1
     }
 
-    fn len(&self, s: &ScalarSet) -> u64 {
+    fn len(&self, s: &Self::Set) -> u64 {
         s.keys.len() as u64
     }
 
-    fn bounded_len(&mut self, s: &ScalarSet, bound: Option<Key>) -> u64 {
+    fn bounded_len(&mut self, s: &Self::Set, bound: Option<Key>) -> u64 {
         match bound {
             None => {
                 self.core.ops(1);
@@ -706,7 +708,7 @@ impl<'g> SetBackend for ScalarBackend<'g> {
         }
     }
 
-    fn fetch(&mut self, s: &ScalarSet, idx: u32) -> Key {
+    fn fetch(&mut self, s: &Self::Set, idx: u32) -> Key {
         self.core.ops(1);
         match s.keys.get(idx as usize) {
             Some(&k) => {
@@ -723,11 +725,11 @@ impl<'g> SetBackend for ScalarBackend<'g> {
         self.binary_search_charged(g.edge_list_addr(v), g.neighbors(v), k)
     }
 
-    fn nested_count(&mut self, _s: &ScalarSet) -> Option<u64> {
+    fn nested_count(&mut self, _s: &Self::Set) -> Option<u64> {
         None
     }
 
-    fn release(&mut self, _s: ScalarSet) {}
+    fn release(&mut self, _s: Self::Set) {}
 
     fn loop_branch(&mut self, pc: u64, taken: bool) {
         self.core.branch(pc, taken);
@@ -889,8 +891,7 @@ impl<'g> SetBackend for StreamBackend<'g> {
             }
             Some(bv) => {
                 // Scalar-side binary search over S_FETCHed elements.
-                let keys = self.engine.stream_keys(s.sid).expect("live stream").to_vec();
-                let (mut lo, mut hi) = (0usize, keys.len());
+                let (mut lo, mut hi) = (0usize, s.len as usize);
                 while lo < hi {
                     let mid = (lo + hi) / 2;
                     let k = self.engine.s_fetch(s.sid, mid as u32).expect("live stream");

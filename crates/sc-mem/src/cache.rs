@@ -197,6 +197,23 @@ impl Cache {
         hit
     }
 
+    /// Charge `k` more demand hits to the resident line holding `addr`:
+    /// the state `k` back-to-back [`Cache::access`]es to it would leave
+    /// (clock, the line's recency stamp, hit and access counters), at the
+    /// cost of one lookup.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line is not resident.
+    pub(crate) fn rehit(&mut self, addr: Addr, k: u64) {
+        let (idx, way) = self.lookup(self.line_of(addr));
+        let way = way.expect("rehit of a line that is not resident");
+        self.tick += k;
+        self.sets[idx].lines[way].1 = self.tick;
+        self.demand_accesses += k;
+        self.stats.hits += k;
+    }
+
     /// Probe for `addr` without updating recency or inserting.
     pub fn probe(&self, addr: Addr) -> bool {
         self.lookup(self.line_of(addr)).1.is_some()

@@ -13,10 +13,18 @@
 //! the refills themselves is charged through
 //! [`MemoryHierarchy::load_bypassing_l1`](crate::MemoryHierarchy::load_bypassing_l1)
 //! by the engine that drives this storage (the `sparsecore` crate).
+//!
+//! Nothing here allocates per stream instruction: a refill writes its
+//! line addresses into a buffer the caller owns and reuses, and an
+//! output stream's writebacks are computed for a whole run of produced
+//! keys at once ([`StreamCacheStorage::push_output_keys`]), one line at a
+//! time rather than one key at a time.
 
 use crate::audit::{AuditKind, AuditViolation};
 use crate::Addr;
 use sc_probe::{Probe, Track};
+use std::iter::StepBy;
+use std::ops::Range;
 
 /// Identifies one S-Cache slot (one per stream register).
 pub type SlotId = usize;
@@ -128,8 +136,9 @@ pub struct StreamCacheStats {
 /// use sc_mem::{StreamCacheConfig, StreamCacheStorage};
 ///
 /// let mut sc = StreamCacheStorage::new(StreamCacheConfig::paper());
+/// let mut fills = Vec::new();
 /// sc.bind(0, 0x1_0000, 100);                // S_READ of a 100-key stream
-/// let fills = sc.refill_window(0, 0);       // fetch the first window
+/// sc.refill_window(0, 0, &mut fills);       // fetch the first window
 /// assert_eq!(fills.len(), 4);               // 64 keys x 4 B = 4 lines
 /// assert!(sc.key_resident(0, 63));
 /// assert!(!sc.key_resident(0, 64));
@@ -283,24 +292,24 @@ impl StreamCacheStorage {
     }
 
     /// Slide the window so that it begins at `key_idx` (rounded down to a
-    /// sub-slot boundary) and mark both sub-slots valid. Returns the list of
-    /// line addresses that must be fetched from L2 — the caller charges them
-    /// through the hierarchy. An empty vector means the window was already
-    /// resident.
-    pub fn refill_window(&mut self, slot: SlotId, key_idx: usize) -> Vec<Addr> {
+    /// sub-slot boundary) and mark both sub-slots valid. Replaces the
+    /// contents of `fetch` with the line addresses that must be fetched
+    /// from L2 — the caller charges them through the hierarchy. An empty
+    /// `fetch` means the window was already resident.
+    pub fn refill_window(&mut self, slot: SlotId, key_idx: usize, fetch: &mut Vec<Addr>) {
         let half = self.config.subslot_keys();
         let key_bytes = self.config.key_bytes;
         let line = self.line_bytes;
         let s = &mut self.slots[slot];
         assert!(s.bound, "refill on unbound slot {slot}");
+        fetch.clear();
         if key_idx >= s.len {
-            return Vec::new();
+            return;
         }
         let new_start = (key_idx / half) * half;
         if new_start == s.window_start && s.lo_valid && s.hi_valid {
-            return Vec::new(); // window already aligned and resident
+            return; // window already aligned and resident
         }
-        let mut fetch = Vec::new();
         let prev_start = s.window_start;
         let prev_lo = s.lo_valid;
         let prev_hi = s.hi_valid;
@@ -352,7 +361,6 @@ impl StreamCacheStorage {
                 );
             }
         }
-        fetch
     }
 
     /// Record that the SU consumed `n` keys from the slot.
@@ -390,6 +398,44 @@ impl StreamCacheStorage {
         } else {
             None
         }
+    }
+
+    /// Append `n` produced keys to an output slot at once: the same state
+    /// and counters as `n` calls of [`StreamCacheStorage::push_output_key`].
+    /// Returns the addresses of the lines those calls would have written
+    /// back, in order (consecutive lines of the output stream).
+    pub fn push_output_keys(&mut self, slot: SlotId, n: usize) -> StepBy<Range<Addr>> {
+        let keys_per_line = self.keys_per_line();
+        let stride = keys_per_line as u64 * self.config.key_bytes;
+        let slot_keys = self.config.slot_keys;
+        let s = &mut self.slots[slot];
+        assert!(s.bound, "output push on unbound slot {slot}");
+        // A writeback fires each time the pending count reaches a full
+        // line: first after `keys_per_line - pending_out` more keys, then
+        // every `keys_per_line`. A slot already past a full line (only a
+        // sabotaged one) never reaches it again.
+        let (lines, first_line) = if s.pending_out < keys_per_line {
+            let lines = (s.pending_out + n) / keys_per_line;
+            let first_line = (s.produced + keys_per_line - s.pending_out - 1) / keys_per_line;
+            s.pending_out = (s.pending_out + n) % keys_per_line;
+            (lines, first_line)
+        } else {
+            s.pending_out += n;
+            (0, 0)
+        };
+        s.produced += n;
+        if n > 0 && s.produced > slot_keys {
+            s.start = false;
+        }
+        self.stats.keys_written += n as u64;
+        self.stats.writebacks += lines as u64;
+        if self.probe.tracing() {
+            for _ in 0..lines {
+                self.probe.instant(Track::Scache, "output_writeback", &[("slot", slot as u64)]);
+            }
+        }
+        let first = s.base + first_line as u64 * stride;
+        (first..first + lines as u64 * stride).step_by(stride as usize)
     }
 
     /// Total keys produced into an output slot so far.
@@ -524,12 +570,18 @@ mod tests {
         StreamCacheStorage::new(StreamCacheConfig::paper())
     }
 
+    fn refill(s: &mut StreamCacheStorage, slot: SlotId, key_idx: usize) -> Vec<Addr> {
+        let mut fetch = vec![0xdead]; // stale contents are replaced
+        s.refill_window(slot, key_idx, &mut fetch);
+        fetch
+    }
+
     #[test]
     fn audit_clean_through_bind_refill_release() {
         let mut s = sc();
         s.bind(2, 0x1000, 200);
-        s.refill_window(2, 0);
-        s.refill_window(2, 70);
+        refill(&mut s, 2, 0);
+        refill(&mut s, 2, 70);
         s.note_keys_read(64);
         assert!(s.audit().is_empty());
         s.bind_output(5, 0x3000);
@@ -558,7 +610,7 @@ mod tests {
     fn audit_catches_ghost_validity_on_unbound_slot() {
         let mut s = sc();
         s.bind(4, 0x2000, 100);
-        s.refill_window(4, 0);
+        refill(&mut s, 4, 0);
         s.sabotage_ghost_validity(4);
         let v = s.audit();
         assert!(
@@ -578,7 +630,7 @@ mod tests {
     fn bind_and_first_refill() {
         let mut s = sc();
         s.bind(3, 0x1000, 200);
-        let fetch = s.refill_window(3, 0);
+        let fetch = refill(&mut s, 3, 0);
         // 64 keys x 4B = 256B = 4 lines.
         assert_eq!(fetch.len(), 4);
         assert_eq!(fetch[0], 0x1000);
@@ -592,10 +644,10 @@ mod tests {
     fn sliding_by_subslot_fetches_half() {
         let mut s = sc();
         s.bind(0, 0, 1000);
-        s.refill_window(0, 0);
+        refill(&mut s, 0, 0);
         // Slide so the window starts at key 32: keys 32..96. Keys 32..64 were
         // already resident, only 64..96 (2 lines) must be fetched.
-        let fetch = s.refill_window(0, 32);
+        let fetch = refill(&mut s, 0, 32);
         assert_eq!(fetch.len(), 2);
         assert!(s.key_resident(0, 95));
         assert!(!s.key_resident(0, 31));
@@ -606,22 +658,22 @@ mod tests {
     fn refill_is_idempotent_within_aligned_window() {
         let mut s = sc();
         s.bind(0, 0, 500);
-        s.refill_window(0, 0);
+        refill(&mut s, 0, 0);
         // Keys 0..31 are in the same sub-slot alignment: no new fetch.
-        assert!(s.refill_window(0, 10).is_empty());
-        assert!(s.refill_window(0, 31).is_empty());
+        assert!(refill(&mut s, 0, 10).is_empty());
+        assert!(refill(&mut s, 0, 31).is_empty());
         // Key 40 aligns the window at 32..96: prefetch of the next sub-slot.
-        assert_eq!(s.refill_window(0, 40).len(), 2);
+        assert_eq!(refill(&mut s, 0, 40).len(), 2);
         // And is idempotent afterwards.
-        assert!(s.refill_window(0, 40).is_empty());
-        assert!(s.refill_window(0, 63).is_empty());
+        assert!(refill(&mut s, 0, 40).is_empty());
+        assert!(refill(&mut s, 0, 63).is_empty());
     }
 
     #[test]
     fn short_stream_partial_lines() {
         let mut s = sc();
         s.bind(1, 0x40, 10); // 10 keys = 40 bytes: a single line
-        let fetch = s.refill_window(1, 0);
+        let fetch = refill(&mut s, 1, 0);
         assert_eq!(fetch.len(), 1);
         assert!(s.key_resident(1, 9));
         assert!(!s.key_resident(1, 10)); // out of range
@@ -631,8 +683,8 @@ mod tests {
     fn out_of_range_refill_is_noop() {
         let mut s = sc();
         s.bind(0, 0, 5);
-        s.refill_window(0, 0);
-        assert!(s.refill_window(0, 5).is_empty());
+        refill(&mut s, 0, 0);
+        assert!(refill(&mut s, 0, 5).is_empty());
     }
 
     #[test]
@@ -648,6 +700,44 @@ mod tests {
         // 16 keys per 64B line -> writebacks after keys 16 and 32.
         assert_eq!(writebacks, vec![0x2000, 0x2040]);
         assert_eq!(s.produced_keys(2), 40);
+    }
+
+    #[test]
+    fn bulk_push_matches_per_key_pushes() {
+        // `push_output_keys(n)` must leave exactly the state, counters and
+        // writeback lines of `n` single pushes: across line sizes, odd
+        // base addresses, chunks that straddle and skip lines, and a
+        // sabotaged slot that is already past a full line.
+        for line_bytes in [16, 64, 128] {
+            let chunks = [0, 1, 3, 15, 16, 17, 0, 40, 64, 65, 2, 31, 1];
+            let (mut bulk, mut single) = (sc(), sc());
+            bulk.set_line_bytes(line_bytes);
+            single.set_line_bytes(line_bytes);
+            for (slot, base) in [(1, 0x2000), (6, 0x3004)] {
+                bulk.bind_output(slot, base);
+                single.bind_output(slot, base);
+                for &n in &chunks {
+                    let got: Vec<Addr> = bulk.push_output_keys(slot, n).collect();
+                    let want: Vec<Addr> =
+                        (0..n).filter_map(|_| single.push_output_key(slot)).collect();
+                    assert_eq!(got, want, "lines: line={line_bytes} slot={slot} n={n}");
+                    assert_eq!(bulk.stats(), single.stats());
+                    assert_eq!(bulk.start_bit(slot), single.start_bit(slot));
+                    assert_eq!(bulk.produced_keys(slot), single.produced_keys(slot));
+                }
+                bulk.seal_output(slot);
+                single.seal_output(slot);
+                assert!(bulk.audit().is_empty());
+                assert_eq!(bulk.release(slot), single.release(slot), "pending keys");
+            }
+            bulk.sabotage_retain_pending(2);
+            single.sabotage_retain_pending(2);
+            let got: Vec<Addr> = bulk.push_output_keys(2, 40).collect();
+            let want: Vec<Addr> = (0..40).filter_map(|_| single.push_output_key(2)).collect();
+            assert_eq!(got, want);
+            assert_eq!(bulk.stats(), single.stats());
+            assert_eq!(bulk.release(2), single.release(2));
+        }
     }
 
     #[test]
@@ -694,7 +784,7 @@ mod tests {
         s.set_line_bytes(128);
         assert_eq!(s.line_bytes(), 128);
         s.bind(3, 0x1000, 200);
-        let fetch = s.refill_window(3, 0);
+        let fetch = refill(&mut s, 3, 0);
         assert_eq!(fetch.len(), 2);
         assert_eq!(fetch, vec![0x1000, 0x1080]);
         assert!(s.key_resident(3, 63));
@@ -738,10 +828,10 @@ mod tests {
     fn rebind_overwrites() {
         let mut s = sc();
         s.bind(0, 0x1000, 100);
-        s.refill_window(0, 0);
+        refill(&mut s, 0, 0);
         s.bind(0, 0x9000, 50);
         assert!(!s.key_resident(0, 0)); // new binding not yet refilled
-        let fetch = s.refill_window(0, 0);
+        let fetch = refill(&mut s, 0, 0);
         assert_eq!(fetch[0], 0x9000);
     }
 }

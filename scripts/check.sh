@@ -12,6 +12,8 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo test --workspace -q"
+# Also covers: cost-bounds sidecar is fresh (results/cost_bounds.json),
+# via the root package's `cost_bounds` test.
 cargo test --workspace -q
 
 echo "==> sc-verify programs/*.sasm (shipped corpus verifies clean)"
@@ -21,9 +23,6 @@ target/release/sc-verify programs/*.sasm
 echo "==> sc-cost programs/*.sasm (shipped corpus has finite cycle bounds)"
 cargo build --release -q -p sc-cost
 target/release/sc-cost --require-bounded programs/*.sasm
-
-echo "==> cost-bounds sidecar is fresh (results/cost_bounds.json)"
-cargo test -q --test cost_bounds
 
 echo "==> sc-report verify results/golden"
 cargo build --release -q -p sc-bench -p sc-report
